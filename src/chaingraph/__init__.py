@@ -12,6 +12,7 @@ from .core import (
     Edge,
     GraphError,
     NodeAttr,
+    StateSpaceError,
     ValidationReport,
     Violation,
     directed,
@@ -83,30 +84,30 @@ from .lang import (
     resolve,
 )
 from .dot import to_dot
-from .oracle import (
-    EquivalenceReport,
-    JointTable,
-    MarkovReport,
-    OracleError,
-    PotentialAssignment,
-    QueryRecord,
-    StateSpaceError,
-    TermTable,
-    all_singleton_queries,
-    assignment_from_rng,
-    build_joint,
-    check_equivalence,
-    check_global_markov,
-    ci_deviation,
-    conditional_deviation,
-    eliminated_assignment,
-    marginal_deviation,
-    numeric_ci,
-    random_assignment,
-)
 from . import corpus
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy; its names are resolved on first use (PEP 562) so
+# that importing the package, or running any other CLI command, does not
+# load numpy.
+_ORACLE_NAMES = frozenset({
+    "EquivalenceReport", "JointTable", "MarkovReport", "OracleError",
+    "PotentialAssignment", "QueryRecord", "TermTable",
+    "all_singleton_queries", "assignment_from_rng",
+    "build_joint", "check_equivalence", "check_global_markov",
+    "ci_deviation", "conditional_deviation", "eliminated_assignment",
+    "marginal_deviation", "numeric_ci", "random_assignment",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ChainGraph", "Edge", "GraphError", "NodeAttr", "ValidationReport", "Violation",

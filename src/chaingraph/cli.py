@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .core import ChainGraph, GraphError
+from .core import ChainGraph, GraphError, StateSpaceError
 from .decompose import chain_components, component_subgraphs, conditional_subgraphs
 from .dot import to_dot
 from .factorize import (
@@ -35,7 +35,6 @@ from .markov import (
     simplify_conditional_directed,
     simplify_conditional_undirected,
 )
-from .oracle import StateSpaceError, check_global_markov
 from .plates import PlateError, PlateModel, expand, factorize_plated
 
 EXIT_OK = 0
@@ -245,6 +244,8 @@ def _dispatch(ns, err) -> list[str] | None:
         return to_dot(m).splitlines()
 
     if ns.command == "oracle":
+        from .oracle import check_global_markov  # numpy is only loaded here
+
         target = _graph_for_query(m, bind, "oracle")
         report = check_global_markov(target, trials=ns.trials, seed=ns.seed, tol=ns.tol)
         lines = report.summary().splitlines()

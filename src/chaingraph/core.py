@@ -24,6 +24,13 @@ class GraphError(ValueError):
     """Structurally malformed graph or a reference to an unknown node."""
 
 
+class StateSpaceError(RuntimeError):
+    """The requested enumeration exceeds the brute-force guards.
+
+    Defined here rather than in the numpy-backed oracle so that callers can
+    catch it without importing numpy."""
+
+
 @dataclass(frozen=True)
 class NodeAttr:
     """Per-node attributes: deterministic flag, observedness, domain size."""

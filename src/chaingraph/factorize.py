@@ -8,7 +8,8 @@ A factorization is an ordered product of terms:
   extended with its parents (direction dropped, no completion edges);
 * ``normalizer`` -- f_k(Y) over the block's parent set Y, the term that
   makes each undirected block's conditional sum to one (rendered ``Z^-1``
-  when Y is empty);
+  when Y is empty, numbered ``Z_0^-1``, ``Z_1^-1``, ... when two or more
+  blocks have no parents);
 * ``delta`` -- delta(x | parents) for a deterministic node.
 
 Terms are emitted in master-graph topological order; within an undirected
@@ -22,7 +23,7 @@ variable cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Union
 
 from .core import ChainGraph, Edge, GraphError
@@ -180,6 +181,18 @@ def _subgraph_terms(
     return terms, label
 
 
+def _number_partition_functions(terms: list[FactorTerm]) -> list[FactorTerm]:
+    """Label the normalizers of parentless blocks Z_0, Z_1, ... when there
+    are two or more of them, so that term names stay unique."""
+    zs = [i for i, t in enumerate(terms) if t.kind == "normalizer" and not t.given]
+    if len(zs) < 2:
+        return terms
+    out = list(terms)
+    for k, i in enumerate(zs):
+        out[i] = replace(terms[i], label=f"Z_{k}")
+    return out
+
+
 def factorize_conditional(sub: ConditionalSubgraph) -> FactorExpression:
     """Factorize a single conditional subgraph: per-node conditionals for a
     directed block, normalizer plus clique potentials for an undirected one."""
@@ -205,7 +218,7 @@ def factorize_chain(g: ChainGraph) -> FactorExpression:
     for group, sub in enumerate(mg.subgraphs):
         sub_terms, label = _subgraph_terms(g, sub, label, group)
         terms.extend(sub_terms)
-    return FactorExpression(items=tuple(terms), **_metadata(g))
+    return FactorExpression(items=tuple(_number_partition_functions(terms)), **_metadata(g))
 
 
 def condition_expression(e: FactorExpression, target: Iterable[str]) -> FactorExpression:
@@ -312,7 +325,7 @@ def render_term(t: FactorTerm, fmt: str = "text") -> str:
             return f"{t.label}({','.join(t.given)})"
         if t.kind == "normalizer":
             if not t.given:
-                return "Z^-1"
+                return f"{t.label}^-1"
             return f"{t.label}({','.join(t.given)})"
         raise FactorError(f"unknown term kind {t.kind!r}")
     if fmt == "latex":
@@ -324,7 +337,8 @@ def render_term(t: FactorTerm, fmt: str = "text") -> str:
             return f"\\delta({heads} \\mid {givens})"
         if t.kind in ("potential", "normalizer"):
             if t.kind == "normalizer" and not t.given:
-                return "Z^{-1}"
+                base, _, num = t.label.partition("_")
+                return f"{base}_{{{num}}}^{{-1}}" if num else f"{base}^{{-1}}"
             idx = t.label.split("_", 1)[1] if "_" in t.label else t.label
             return f"f_{{{idx}}}({givens})"
         raise FactorError(f"unknown term kind {t.kind!r}")

@@ -221,15 +221,20 @@ def separates(ug: UndirectedGraph, q: CiQuery) -> bool:
     return True
 
 
+def anterior_moral_graph(g: ChainGraph, nodes: Iterable[str]) -> UndirectedGraph:
+    """Moral graph of the anterior set of ``nodes`` (their closure under
+    parents and neighbors).  Every query over exactly these nodes is then
+    answered by `separates` on the one graph."""
+    return moralize_chain(g.induced(g.ancestors_chain(nodes)))
+
+
 def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
     """Does the graph imply A _||_ B | S for every distribution it admits?
 
     Sound for all distributions that factorize according to the graph
     (positivity needed on undirected components); not complete in general.
     """
-    closure = g.ancestors_chain(q.a | q.b | q.s)
-    moral = moralize_chain(g.induced(closure))
-    return separates(moral, q)
+    return separates(anterior_moral_graph(g, q.a | q.b | q.s), q)
 
 
 def simplify_conditional_directed(g: ChainGraph) -> ChainGraph:

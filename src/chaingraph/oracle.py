@@ -9,7 +9,9 @@ graph-level answer be confirmed or refuted numerically:
   conditioning sets and fails hard if a graph-implied independence does
   not hold numerically (soundness); implied dependencies that never show
   up numerically are only warned about, since random tables need not be
-  faithful.
+  faithful.  The trials are scored together: their joints are stacked on
+  a leading axis, and each set of query nodes takes one marginal of the
+  stack and one moral graph, shared by every query over those nodes.
 * `check_equivalence` instantiates two expressions with shared tables for
   designated terms and compares the conditional (or a marginal) they
   represent.
@@ -27,27 +29,25 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ChainGraph
+from .core import ChainGraph, StateSpaceError  # noqa: F401  (re-exported)
 from .factorize import (
     FactorExpression,
     FactorTerm,
     PlateProduct,
     factorize_chain,
 )
-from .markov import CiQuery, implies_ci
+# implies_ci stays importable from here, beside the sweep that answers the
+# same queries through anterior_moral_graph and separates
+from .markov import CiQuery, anterior_moral_graph, implies_ci, separates  # noqa: F401
 
 MAX_JOINT_CONFIGS = 1 << 20
-MAX_MARKOV_NODES = 8
+MAX_MARKOV_NODES = 10
 DEFAULT_TOL = 1e-9
 DEPENDENCE_THRESHOLD = 1e-6
 
 
 class OracleError(ValueError):
     """Malformed request: missing tables, unknown variables, ratio input."""
-
-
-class StateSpaceError(RuntimeError):
-    """The requested enumeration exceeds the brute-force guards."""
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,36 @@ class JointTable:
     table: np.ndarray
 
     def marginal(self, keep: Iterable[str]) -> "JointTable":
-        keep_set = set(keep)
-        unknown = keep_set - set(self.vars)
-        if unknown:
-            raise OracleError(f"unknown variables {sorted(unknown)} in marginal")
-        drop = tuple(i for i, v in enumerate(self.vars) if v not in keep_set)
-        return JointTable(
-            tuple(v for v in self.vars if v in keep_set),
-            self.table.sum(axis=drop) if drop else self.table,
-        )
+        return JointTable(*_marginal(self.table, self.vars, keep))
 
     def aligned(self, order: Sequence[str]) -> np.ndarray:
         if set(order) != set(self.vars) or len(order) != len(self.vars):
             raise OracleError("variable order does not match table")
         perm = [self.vars.index(v) for v in order]
         return np.transpose(self.table, perm)
+
+
+def _marginal(
+    table: np.ndarray, vars_: tuple[str, ...], keep: Iterable[str]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sum out every variable not in ``keep``.  The last ``len(vars_)`` axes
+    of ``table`` follow ``vars_``; any axes before them (trials) are kept."""
+    keep_set = set(keep)
+    unknown = keep_set - set(vars_)
+    if unknown:
+        raise OracleError(f"unknown variables {sorted(unknown)} in marginal")
+    lead = table.ndim - len(vars_)
+    drop = tuple(lead + i for i, v in enumerate(vars_) if v not in keep_set)
+    return tuple(v for v in vars_ if v in keep_set), table.sum(axis=drop) if drop else table
+
+
+def _check_size(what: str, shape: Iterable[int]) -> None:
+    """Refuse a table of this shape before it is allocated."""
+    size = math.prod(shape)
+    if size > MAX_JOINT_CONFIGS:
+        raise StateSpaceError(
+            f"{what} has {size} configurations, over the limit of {MAX_JOINT_CONFIGS}"
+        )
 
 
 def _domains_of(e: FactorExpression) -> dict[str, int]:
@@ -123,6 +138,7 @@ def assignment_from_rng(e: FactorExpression, rng: np.random.Generator) -> Potent
 
     for t in terms:
         shape = _term_shape(t, domains)
+        _check_size(f"table for {t.name()}", shape)
         if t.kind == "conditional":
             raw = _positive(rng, shape)
             table = raw / raw.sum(axis=tuple(range(len(t.given), len(shape))), keepdims=True)
@@ -154,7 +170,9 @@ def _compute_normalizers(e: FactorExpression, pa: PotentialAssignment, skip: fro
             continue
         group = [u for u in terms if u.kind == "potential" and u.group == t.group]
         union = [v for v in e.order if any(v in u.vars for u in group) or v in t.vars]
-        arr = np.ones(tuple(domains[v] for v in union))
+        shape = tuple(domains[v] for v in union)
+        _check_size(f"potential product for {t.name()}", shape)
+        arr = np.ones(shape)
         for u in group:
             arr = arr * _broadcast(pa[u.name()], union, domains)
         summed = arr.sum(axis=tuple(i for i, v in enumerate(union) if v not in t.vars))
@@ -179,23 +197,24 @@ def _broadcast(tt: TermTable, order: Sequence[str], domains: Mapping[str, int]) 
     return arr.reshape(shape)
 
 
-def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
-    """Explicit normalized joint over every variable the expression mentions."""
-    _require_ground(e)
+def _joint_shape(e: FactorExpression) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Variables (in expression order) and shape of the joint, size-checked."""
     domains = _domains_of(e)
     used: set[str] = set()
     for t in e.terms:
         used.update(t.vars)
     order = tuple(v for v in e.order if v in used)
-    total = 1
-    for v in order:
-        total *= domains[v]
-        if total > MAX_JOINT_CONFIGS:
-            raise StateSpaceError(
-                f"state space exceeds {MAX_JOINT_CONFIGS} configurations"
-            )
+    shape = tuple(domains[v] for v in order)
+    _check_size("joint", shape)
+    return order, shape
 
-    arr = np.ones(tuple(domains[v] for v in order))
+
+def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
+    """Explicit normalized joint over every variable the expression mentions."""
+    _require_ground(e)
+    domains = _domains_of(e)
+    order, shape = _joint_shape(e)
+    arr = np.ones(shape)
     for t in e.terms:
         tt = pa.get(t.name())
         if tt is None:
@@ -212,27 +231,34 @@ def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
     return JointTable(order, arr / s)
 
 
-def ci_deviation(j: JointTable, q: CiQuery) -> float:
-    """max over S-configs with p(S)>0 of max |p(A,B|S) - p(A|S) p(B|S)|."""
-    a = tuple(sorted(q.a, key=j.vars.index))
-    b = tuple(sorted(q.b, key=j.vars.index))
-    s = tuple(sorted(q.s, key=j.vars.index))
-    missing = (set(q.a) | set(q.b) | set(q.s)) - set(j.vars)
+def _ci_deviations(stack: np.ndarray, vars_: tuple[str, ...], q: CiQuery) -> np.ndarray:
+    """`ci_deviation` of every table in a stack: the leading axis counts the
+    tables (trials), the other axes follow ``vars_``."""
+    missing = (q.a | q.b | q.s) - set(vars_)
     if missing:
         raise OracleError(f"query variables {sorted(missing)} not in joint")
-    m = j.marginal(a + b + s)
-    arr = m.aligned(a + b + s)
-    na = math.prod(arr.shape[: len(a)])
-    nb = math.prod(arr.shape[len(a) : len(a) + len(b)])
-    ns = math.prod(arr.shape[len(a) + len(b) :])
-    p = arr.reshape(na, nb, ns)
-    ps = p.sum(axis=(0, 1))
-    pas = p.sum(axis=1)
-    pbs = p.sum(axis=0)
+    a = tuple(sorted(q.a, key=vars_.index))
+    b = tuple(sorted(q.b, key=vars_.index))
+    s = tuple(sorted(q.s, key=vars_.index))
+    m_vars, m = _marginal(stack, vars_, a + b + s)
+    arr = np.transpose(m, [0] + [1 + m_vars.index(v) for v in a + b + s])
+    t = arr.shape[0]
+    na = math.prod(arr.shape[1 : 1 + len(a)])
+    nb = math.prod(arr.shape[1 + len(a) : 1 + len(a) + len(b)])
+    ns = math.prod(arr.shape[1 + len(a) + len(b) :])
+    p = arr.reshape(t, na, nb, ns)
+    ps = p.sum(axis=(1, 2))[:, None, None, :]
+    pas = p.sum(axis=2)[:, :, None, :]
+    pbs = p.sum(axis=1)[:, None, :, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.abs(p / ps - (pas[:, None, :] / ps) * (pbs[None, :, :] / ps))
-    dev[:, :, ps <= 0.0] = 0.0
-    return float(dev.max(initial=0.0))
+        dev = np.abs(p / ps - (pas / ps) * (pbs / ps))
+    dev = np.where(ps > 0.0, dev, 0.0)
+    return dev.reshape(t, -1).max(axis=1, initial=0.0)
+
+
+def ci_deviation(j: JointTable, q: CiQuery) -> float:
+    """max over S-configs with p(S)>0 of max |p(A,B|S) - p(A|S) p(B|S)|."""
+    return float(_ci_deviations(j.table[None], j.vars, q)[0])
 
 
 def numeric_ci(j: JointTable, q: CiQuery, tol: float = DEFAULT_TOL) -> bool:
@@ -341,7 +367,14 @@ def check_global_markov(
     tol: float = DEFAULT_TOL,
     dependence_threshold: float = DEPENDENCE_THRESHOLD,
 ) -> MarkovReport:
-    """Verify every implied independence numerically on random instantiations."""
+    """Verify every implied independence numerically on random instantiations.
+
+    Each trial draws its own tables; a query's deviation is its largest over
+    the trials.  The trials' joints are stacked in chunks of at most
+    ``MAX_JOINT_CONFIGS`` entries, and the queries are grouped by the nodes
+    they mention: per group and chunk one marginal is taken, which
+    `_ci_deviations` scores for every query of the group and every trial.
+    """
     if len(g.node_names) > MAX_MARKOV_NODES:
         raise StateSpaceError(
             f"global Markov sweep is limited to {MAX_MARKOV_NODES} nodes, got {len(g.node_names)}"
@@ -349,17 +382,29 @@ def check_global_markov(
     if trials < 1:
         raise OracleError("trials must be positive")
     e = factorize_chain(g)
+    order, shape = _joint_shape(e)
     queries = all_singleton_queries(g)
-    implied = [implies_ci(g, q) for q in queries]
-    max_dev = np.zeros(len(queries))
+    groups: dict[frozenset[str], list[int]] = {}
+    for k, q in enumerate(queries):
+        groups.setdefault(q.a | q.b | q.s, []).append(k)
+    implied = [False] * len(queries)
+    for nodes, ks in groups.items():
+        moral = anterior_moral_graph(g, nodes)
+        for k in ks:
+            implied[k] = separates(moral, queries[k])
 
-    for seq in np.random.SeedSequence(seed).spawn(trials):
-        pa = assignment_from_rng(e, np.random.default_rng(seq))
-        j = build_joint(e, pa)
-        for k, q in enumerate(queries):
-            d = ci_deviation(j, q)
-            if d > max_dev[k]:
-                max_dev[k] = d
+    max_dev = np.zeros(len(queries))
+    seqs = np.random.SeedSequence(seed).spawn(trials)
+    chunk = max(1, MAX_JOINT_CONFIGS // math.prod(shape))
+    for start in range(0, trials, chunk):
+        part = seqs[start : start + chunk]
+        stack = np.empty((len(part),) + shape)
+        for i, seq in enumerate(part):
+            stack[i] = build_joint(e, assignment_from_rng(e, np.random.default_rng(seq))).table
+        for nodes, ks in groups.items():
+            m_vars, m = _marginal(stack, order, nodes)
+            for k in ks:
+                max_dev[k] = max(max_dev[k], _ci_deviations(m, m_vars, queries[k]).max())
 
     records = tuple(
         QueryRecord(
@@ -441,6 +486,9 @@ def check_equivalence(
     else:
         raise OracleError(f"unknown comparison mode {mode!r}")
 
+    # refuse oversized joints before drawing any table
+    _joint_shape(e1)
+    _joint_shape(e2)
     inverse = {v: k for k, v in shared.items()}
     devs: list[float] = []
     for seq in np.random.SeedSequence(seed).spawn(trials):

@@ -26,6 +26,7 @@ from .factorize import (
     Item,
     PlateProduct,
     _metadata,
+    _number_partition_functions,
     _subgraph_terms,
     factorize_chain,
 )
@@ -322,6 +323,8 @@ def _symbolic_expression(m: PlateModel) -> FactorExpression:
             for t in terms:
                 own = frozenset(t.head) if t.head else frozenset(sub.own_nodes)
                 flat.append((own, t))
+        numbered = _number_partition_functions([t for _, t in flat])
+        flat = [(own, t) for (own, _), t in zip(flat, numbered)]
 
     for own, t in flat:
         own_chains = {chains[v] for v in own}

@@ -17,12 +17,13 @@ from chaingraph import ChainGraph, Edge, NodeAttr
 
 
 _TERM_RE = re.compile(r"(?P<name>p|delta|f_\d+)\((?P<args>[^()]*)\)\Z")
+_Z_RE = re.compile(r"Z(_\d+)?\^-1\Z")
 
 
 def term_key(token: str) -> tuple:
-    """Canonical key for one rendered term, insensitive to f-label numbering
-    and to the order of names inside a head or conditioning list."""
-    if token == "Z^-1":
+    """Canonical key for one rendered term, insensitive to f- and Z-label
+    numbering and to the order of names inside a head or conditioning list."""
+    if _Z_RE.match(token):
         return ("Z", (), ())
     m = _TERM_RE.match(token)
     if m is None:

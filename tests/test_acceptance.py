@@ -173,7 +173,8 @@ def test_acceptance_5_markov_soundness_sweep():
         ("cad", corpus.load("cad").graph),
         ("coin[N=3]", expand(corpus.load("coin"), {"N": 3})),
         ("banks[1,1]", expand(corpus.load("banks"), {"Banks": 1, "Prices": 1})),
-        # ffnet (10 nodes) and boltzmann (9) sit above the sweep's 8-node limit.
+        ("boltzmann", corpus.load("boltzmann").graph),
+        ("ffnet", corpus.load("ffnet").graph),
     ]
     failures = []
     queries = 0

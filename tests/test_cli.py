@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,9 +206,27 @@ def test_usage_errors_exit_2():
 
 
 def test_resource_errors_exit_3():
-    code, _, err = invoke("oracle", cg("ffnet"))
+    # ground coin with N=10 has 11 nodes, one over the sweep's limit
+    code, _, err = invoke("oracle", cg("coin"), "--bind", "N=10")
     assert code == 3
-    assert "8 nodes" in err
+    assert "10 nodes" in err
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = (
+        "import sys, chaingraph, chaingraph.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "for name in chaingraph.__all__: getattr(chaingraph, name)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    # numpy is loaded only once an oracle name is used
+    assert res.stdout.split() == ["False", "True"]
 
 
 def test_elim_det_error_exit_1(tmp_path):

@@ -92,6 +92,13 @@ def test_factorize_undirected_plain():
     assert e.free_vars == frozenset("abc")
 
 
+def test_parentless_blocks_get_numbered_normalizers():
+    g = ChainGraph("abcdef", [undirected("a", "b"), undirected("b", "c"), undirected("d", "e"), undirected("e", "f")])
+    e = factorize_chain(g)
+    assert render(e) == "Z_0^-1 f_0(a,b) f_1(b,c) Z_1^-1 f_2(d,e) f_3(e,f)"
+    assert render(e, "latex").startswith("Z_{0}^{-1} f_{0}(a,b) f_{1}(b,c) Z_{1}^{-1}")
+
+
 def test_factorize_directed_ignores_observation():
     g = ChainGraph(
         {"a": NodeAttr(observed=True), "b": NodeAttr()}, [directed("a", "b")]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from chaingraph import (
     StateSpaceError,
     TermTable,
     all_singleton_queries,
+    assignment_from_rng,
     build_joint,
     check_equivalence,
     check_global_markov,
@@ -18,6 +21,7 @@ from chaingraph import (
     directed,
     eliminate_deterministic,
     eliminated_assignment,
+    expand,
     factorize_chain,
     factorize_directed,
     factorize_undirected,
@@ -27,6 +31,7 @@ from chaingraph import (
     random_assignment,
     undirected,
 )
+from chaingraph import oracle
 
 
 def chain(n):
@@ -77,6 +82,24 @@ def test_normalizers_are_computed_not_random(graphs):
     np.testing.assert_allclose(z, 1.0 / f.sum())
 
 
+def test_parentless_block_normalizers_are_distinct():
+    # two parentless blocks: each needs its own partition function
+    g = ChainGraph("abcdef", [undirected("a", "b"), undirected("b", "c"), undirected("d", "e"), undirected("e", "f")])
+    e = factorize_chain(g)
+    names = [t.name() for t in e.terms]
+    assert len(set(names)) == len(names)
+    pa = random_assignment(e, seed=5)
+    for group in sorted({t.group for t in e.terms}):
+        members = [t for t in e.terms if t.group == group]
+        order = sorted({v for t in members for v in t.vars})
+        operands = []
+        for t in members:
+            operands += [pa[t.name()].table, [order.index(v) for v in t.vars]]
+        # potentials times normalizer, summed over the block: one, before
+        # build_joint renormalizes anything
+        assert np.einsum(*operands, []) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_block_normalizer_inverts_the_parent_sum(graphs):
     e = factorize_chain(graphs["fig2"])
     pa = random_assignment(e, seed=7)
@@ -117,8 +140,37 @@ def test_build_joint_normalizes(graphs):
 
 def test_build_joint_respects_the_size_guard():
     e = factorize_directed(chain(21))
-    with pytest.raises(StateSpaceError):
+    with pytest.raises(StateSpaceError, match="joint has 2097152 configurations, over the limit of 1048576"):
         build_joint(e, {})
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while ``fn`` runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_guards_refuse_before_allocating():
+    parents = [f"x{i}" for i in range(21)]
+    wide = factorize_directed(ChainGraph(parents + ["y"], [directed(p, "y") for p in parents]))
+    long_block = factorize_chain(
+        ChainGraph(parents, [undirected(u, v) for u, v in zip(parents, parents[1:])])
+    )
+    cases = [
+        (lambda: assignment_from_rng(wide, np.random.default_rng(0)), "table for p\\(y\\|x0,.*,x20\\) has 4194304"),
+        (lambda: assignment_from_rng(long_block, np.random.default_rng(0)), "potential product for Z\\^-1 has 2097152"),
+        (lambda: check_equivalence(wide, wide), "joint has 4194304"),
+    ]
+    for call, message in cases:
+        def refused():
+            with pytest.raises(StateSpaceError, match=message + " configurations, over the limit of 1048576"):
+                call()
+
+        assert _peak_bytes(refused) < 1 << 20
 
 
 def test_build_joint_checks_tables(graphs):
@@ -212,9 +264,83 @@ def test_check_global_markov_soundness(graphs):
     assert "soundness: ok" in rep.summary()
 
 
-def test_check_global_markov_node_bound(graphs):
-    with pytest.raises(StateSpaceError):
-        check_global_markov(graphs["ffnet"])
+def test_check_global_markov_node_bound(models):
+    # ground coin with N=10 has 11 nodes, one over the limit
+    with pytest.raises(StateSpaceError, match="limited to 10 nodes, got 11"):
+        check_global_markov(expand(models["coin"], {"N": 10}))
+
+
+def _one_joint_deviation(j, q):
+    """The deviation of one query on one joint, written without the stacked
+    kernel that `ci_deviation` and the sweep share."""
+    a, b, s = (tuple(sorted(x, key=j.vars.index)) for x in (q.a, q.b, q.s))
+    arr = j.marginal(a + b + s).aligned(a + b + s)
+    na, nb = arr.shape[0], arr.shape[1]  # singleton queries
+    p = arr.reshape(na, nb, -1)
+    ps = p.sum(axis=(0, 1))
+    pas = p.sum(axis=1)
+    pbs = p.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(p / ps - (pas[:, None, :] / ps) * (pbs[None, :, :] / ps))
+    dev[:, :, ps <= 0.0] = 0.0
+    return float(dev.max(initial=0.0))
+
+
+def _per_trial_sweep(g, trials, seed):
+    """The sweep as a plain loop: every trial's joint, every query scored on
+    its own; `implies_ci` per query."""
+    e = factorize_chain(g)
+    queries = all_singleton_queries(g)
+    max_dev = [0.0] * len(queries)
+    for seq in np.random.SeedSequence(seed).spawn(trials):
+        j = build_joint(e, assignment_from_rng(e, np.random.default_rng(seq)))
+        for k, q in enumerate(queries):
+            d = _one_joint_deviation(j, q)
+            assert ci_deviation(j, q) == d
+            max_dev[k] = max(max_dev[k], d)
+    return [(q, implies_ci(g, q), d) for q, d in zip(queries, max_dev)]
+
+
+def _sweep_targets(models):
+    return {
+        "fig2": models["fig2"].graph,
+        "cad": models["cad"].graph,
+        "coin[N=5]": expand(models["coin"], {"N": 5}),
+    }
+
+
+def _assert_matches_per_trial_loop(g, trials, seed):
+    rep = check_global_markov(g, trials=trials, seed=seed)
+    want = _per_trial_sweep(g, trials, seed)
+    assert [r.query for r in rep.records] == [q for q, _, _ in want]
+    for r, (_, implied, dev) in zip(rep.records, want):
+        assert r.implied == implied
+        assert r.max_deviation == dev  # exactly: same arithmetic, trial by trial
+        assert r.sound == ((not implied) or dev <= rep.tol)
+        assert r.dependence_seen == (implied or dev > rep.dependence_threshold)
+
+
+@pytest.mark.parametrize("name", ["fig2", "cad", "coin[N=5]"])
+def test_batched_sweep_matches_per_trial_loop(models, name):
+    _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=6, seed=17)
+
+
+@pytest.mark.parametrize("name", ["fig2", "cad", "coin[N=5]"])
+def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
+    # 600 entries hold two 8-node joints: fig2's trials go in chunks of two
+    monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", 600)
+    sizes = []
+    marginal = oracle._marginal
+
+    def watched(table, vars_, keep):
+        sizes.append(table.shape)
+        return marginal(table, vars_, keep)
+
+    monkeypatch.setattr(oracle, "_marginal", watched)
+    _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=5, seed=4)
+    assert max(np.prod(s) for s in sizes) <= 600
+    if name == "fig2":
+        assert {s[0] for s in sizes if len(s) == 9} == {2, 1}
 
 
 # -- equivalence ----------------------------------------------------------------------
