@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -42,6 +43,10 @@ class NodeAttr:
     def __post_init__(self) -> None:
         if self.domain_size < 1:
             raise GraphError(f"domain_size must be a positive integer, got {self.domain_size}")
+
+
+# shared by every node declared by bare name
+_DEFAULT_ATTR = NodeAttr()
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class ChainGraph:
         if isinstance(nodes, Mapping):
             items = list(nodes.items())
         else:
-            items = [(name, NodeAttr()) for name in nodes]
+            items = [(name, _DEFAULT_ATTR) for name in nodes]
         self._attrs: dict[str, NodeAttr] = {}
         for name, attr in items:
             if not name:
@@ -101,26 +106,28 @@ class ChainGraph:
         self._index = {name: i for i, name in enumerate(self._attrs)}
 
         self._edges: list[Edge] = []
-        self._parents: dict[str, set[str]] = {n: set() for n in self._attrs}
-        self._children: dict[str, set[str]] = {n: set() for n in self._attrs}
-        self._neighbors: dict[str, set[str]] = {n: set() for n in self._attrs}
-        seen_pairs: set[frozenset[str]] = set()
+        parents: dict[str, set[str]] = {n: set() for n in self._attrs}
+        children: dict[str, set[str]] = {n: set() for n in self._attrs}
+        neighbors: dict[str, set[str]] = {n: set() for n in self._attrs}
         for e in edges:
-            if e.u not in self._attrs or e.v not in self._attrs:
-                missing = e.u if e.u not in self._attrs else e.v
+            u, v = e.u, e.v
+            if u not in self._attrs or v not in self._attrs:
+                missing = u if u not in self._attrs else v
                 raise GraphError(f"edge endpoint {missing!r} is not a declared node")
-            if e.u == e.v:
-                raise GraphError(f"self-loop on {e.u!r}")
-            if e.pair in seen_pairs:
-                raise GraphError(f"more than one edge between {e.u!r} and {e.v!r}")
-            seen_pairs.add(e.pair)
+            if u == v:
+                raise GraphError(f"self-loop on {u!r}")
+            if v in parents[u] or v in children[u] or v in neighbors[u]:
+                raise GraphError(f"more than one edge between {u!r} and {v!r}")
             self._edges.append(e)
             if e.directed:
-                self._parents[e.v].add(e.u)
-                self._children[e.u].add(e.v)
+                parents[v].add(u)
+                children[u].add(v)
             else:
-                self._neighbors[e.u].add(e.v)
-                self._neighbors[e.v].add(e.u)
+                neighbors[u].add(v)
+                neighbors[v].add(u)
+        self._parents = parents
+        self._children = children
+        self._neighbors = neighbors
 
     # -- basic accessors ---------------------------------------------------
 
@@ -207,34 +214,25 @@ class ChainGraph:
 
     # -- closures ------------------------------------------------------------
 
-    def ancestors_directed(self, seed: Iterable[str]) -> frozenset[str]:
-        """Least set containing the seed and closed under taking parents.
-
-        Only meaningful on a purely directed graph; raises otherwise.
-        """
-        if not self.is_directed:
-            raise GraphError("ancestors_directed requires a graph with no undirected edges")
-        return self._closure(seed, with_neighbors=False)
-
     def ancestors_chain(self, seed: Iterable[str]) -> frozenset[str]:
-        """Least set containing the seed and closed under parents and neighbors."""
-        return self._closure(seed, with_neighbors=True)
-
-    def _closure(self, seed: Iterable[str], with_neighbors: bool) -> frozenset[str]:
-        todo = deque()
+        """Least set containing the seed and closed under parents and neighbors
+        (the anterior set).  It is a union of whole chain components, and it
+        holds the parents of each of them."""
+        todo: list[str] = []
         out: set[str] = set()
         for n in seed:
             self._check(n)
             if n not in out:
                 out.add(n)
                 todo.append(n)
+        parents, neighbors = self._parents, self._neighbors
         while todo:
-            x = todo.popleft()
-            frontier = self._parents[x] | self._neighbors[x] if with_neighbors else self._parents[x]
-            for y in frontier:
-                if y not in out:
-                    out.add(y)
-                    todo.append(y)
+            x = todo.pop()
+            for frontier in (parents[x], neighbors[x]):
+                for y in frontier:
+                    if y not in out:
+                        out.add(y)
+                        todo.append(y)
         return frozenset(out)
 
     def non_deterministic_children(self, x: str) -> frozenset[str]:
@@ -280,12 +278,25 @@ class ChainGraph:
 
     # -- component helpers ---------------------------------------------------
 
+    @cached_property
+    def component_index(self) -> "ComponentIndex":
+        """The chain components, computed on first use and kept: the graph
+        never changes, and every copy (`induced`, `with_attrs`, `observe`)
+        is a new graph with its own index."""
+        comps = tuple(tuple(c) for c in self._components(self._neighbors.__getitem__))
+        component_of = {n: k for k, comp in enumerate(comps) for n in comp}
+        parents = self._parents
+        comp_parents = tuple(
+            frozenset(set().union(*(parents[n] for n in comp)).difference(comp)) for comp in comps
+        )
+        return ComponentIndex(comps, component_of, comp_parents)
+
     def undirected_components(self) -> list[list[str]]:
         """Connected components under undirected edges only (arcs ignored).
 
         Components are discovered in declaration order; singletons included.
         """
-        return self._components(lambda n: self._neighbors[n])
+        return [list(c) for c in self.component_index.components]
 
     def weak_components(self) -> list[list[str]]:
         """Connected components treating every edge as undirected."""
@@ -340,6 +351,19 @@ class ChainGraph:
         return f"ChainGraph(nodes={len(self._attrs)}, edges={len(self._edges)})"
 
 
+@dataclass(frozen=True)
+class ComponentIndex:
+    """A graph's chain components (connected components under undirected
+    edges), in discovery order as :meth:`ChainGraph.undirected_components`
+    lists them.  ``component_of`` maps each node to its component's
+    position and is not to be modified; ``parents[i]`` is the union of the
+    parents of component i's members, minus the component itself."""
+
+    components: tuple[tuple[str, ...], ...]
+    component_of: dict[str, int]
+    parents: tuple[frozenset[str], ...]
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -375,8 +399,8 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     errors: list[Violation] = []
     warnings: list[str] = []
 
-    comps = g.undirected_components()
-    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
+    index = g.component_index
+    comps, comp_of = index.components, index.component_of
 
     quotient: dict[int, dict[int, tuple[str, str]]] = {i: {} for i in range(len(comps))}
     for e in g.edges:

@@ -44,12 +44,6 @@ class Partition:
         frozen.sort(key=lambda b: min(g.index(n) for n in b))
         return cls(tuple(frozen))
 
-    def block_of(self, name: str) -> frozenset[str]:
-        for b in self.blocks:
-            if name in b:
-                return b
-        raise GraphError(f"unknown node {name!r}")
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -58,8 +52,11 @@ class Partition:
 
 
 def chain_components(g: ChainGraph) -> Partition:
-    """Connected components after deleting every directed arc."""
-    return Partition.from_blocks(g, g.undirected_components())
+    """Connected components after deleting every directed arc.
+
+    Read off the graph's cached :attr:`ChainGraph.component_index`, whose
+    discovery order is already the canonical block order."""
+    return Partition(tuple(frozenset(c) for c in g.component_index.components))
 
 
 def component_subgraphs(g: ChainGraph) -> Partition:

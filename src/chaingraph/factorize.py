@@ -24,6 +24,7 @@ variable cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .core import ChainGraph, Edge, GraphError
@@ -91,10 +92,13 @@ class FactorExpression:
         return self.denom_sum is not None
 
     def sort_key(self, name: str) -> int:
-        try:
-            return self.order.index(name)
-        except ValueError:
-            return len(self.order)
+        """Position of ``name`` in ``order``; names outside it sort last."""
+        return self._positions.get(name, len(self.order))
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        # built on first use; no code reassigns ``order`` afterwards
+        return {n: i for i, n in enumerate(self.order)}
 
 
 def _walk_terms(items: Iterable[Item]) -> Iterator[FactorTerm]:

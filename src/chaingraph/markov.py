@@ -1,11 +1,17 @@
 """Separation queries on chain graphs via moralization.
 
 `implies_ci` answers "does the graph imply A independent of B given S?" by
-restricting to the ancestral closure of the query variables, moralizing
-(joining every pair of nodes with children in a common chain component,
-then dropping arc directions) and testing plain graph separation.  For a
-purely directed graph the same procedure degenerates to classic
-moralization of parents.
+separation in the moral graph of the anterior set of A, B and S: their
+closure under parents and undirected neighbours.  Moralizing joins every
+pair of nodes with children in a common chain component, then drops arc
+directions.  No subgraph is built: the anterior set is a union of whole
+chain components, each holding its parents, so the moral neighbours of a
+node x in it are read off the graph and its cached component index --
+x's neighbours and parents, and each child c of x in the set together
+with the parents of c's component.  A walk from A that stops at S then
+either reaches B or not.  For a purely directed graph the same procedure
+degenerates to classic moralization of parents.  `moralize_chain` builds
+the whole moral graph explicitly, and `separates` tests separation in it.
 
 The module also hosts the maximal-clique enumeration used by the
 factorizer, and the two conditional-model simplifications: deleting arcs
@@ -17,10 +23,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .core import ChainGraph, Edge, GraphError
-from .decompose import chain_components
 
 
 class QueryError(ValueError):
@@ -99,14 +105,15 @@ class UndirectedGraph:
         self._index = {n: i for i, n in enumerate(self._nodes)}
         if len(self._index) != len(self._nodes):
             raise GraphError("duplicate node in undirected graph")
-        self._adj: dict[str, set[str]] = {n: set() for n in self._nodes}
+        adj: dict[str, set[str]] = {n: set() for n in self._nodes}
         for u, v in edges:
-            if u not in self._adj or v not in self._adj:
+            if u not in adj or v not in adj:
                 raise GraphError(f"unknown endpoint in edge ({u!r}, {v!r})")
             if u == v:
                 continue
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = adj
 
     @property
     def node_names(self) -> tuple[str, ...]:
@@ -162,14 +169,10 @@ def moralize_directed(g: ChainGraph) -> UndirectedGraph:
 def moralize_chain(g: ChainGraph) -> UndirectedGraph:
     """Join every two nodes with children in a common chain component,
     then drop all arc directions."""
-    pairs = {(e.u, e.v) for e in g.edges}
-    marriages = set()
-    for block in chain_components(g):
-        ps = g.sorted_nodes(g.parents_of_set(block))
-        for i, u in enumerate(ps):
-            for v in ps[i + 1 :]:
-                marriages.add((u, v))
-    return UndirectedGraph(g.node_names, list(pairs) + list(marriages))
+    edges = [(e.u, e.v) for e in g.edges]
+    for ps in g.component_index.parents:
+        edges.extend(combinations(ps, 2))
+    return UndirectedGraph(g.node_names, edges)
 
 
 def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list[frozenset[str]]:
@@ -221,20 +224,40 @@ def separates(ug: UndirectedGraph, q: CiQuery) -> bool:
     return True
 
 
-def anterior_moral_graph(g: ChainGraph, nodes: Iterable[str]) -> UndirectedGraph:
-    """Moral graph of the anterior set of ``nodes`` (their closure under
-    parents and neighbors).  Every query over exactly these nodes is then
-    answered by `separates` on the one graph."""
-    return moralize_chain(g.induced(g.ancestors_chain(nodes)))
-
-
 def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
     """Does the graph imply A _||_ B | S for every distribution it admits?
 
     Sound for all distributions that factorize according to the graph
     (positivity needed on undirected components); not complete in general.
+
+    Equal to ``separates(moralize_chain(g.induced(anterior)), q)``, without
+    building either graph: the walk goes from A, stopping at S, over the
+    moral graph of the anterior set as read off ``g`` itself.
     """
-    return separates(anterior_moral_graph(g, q.a | q.b | q.s), q)
+    anterior = g.ancestors_chain(q.a | q.b | q.s)
+    index = g.component_index
+    comp_of, comp_parents = index.component_of, index.parents
+    blocked, targets = q.s, q.b
+    seen = set(q.a)
+    todo = list(q.a)
+    while todo:
+        x = todo.pop()
+        own = comp_of[x]
+        moral = [g.neighbors(x), g.parents(x)]
+        for c in g.children(x):
+            if c in anterior:
+                moral.append((c,))
+                if comp_of[c] != own:
+                    moral.append(comp_parents[comp_of[c]])
+        for ys in moral:
+            for y in ys:
+                if y in blocked or y in seen:
+                    continue
+                if y in targets:
+                    return False
+                seen.add(y)
+                todo.append(y)
+    return True
 
 
 def simplify_conditional_directed(g: ChainGraph) -> ChainGraph:

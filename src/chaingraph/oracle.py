@@ -11,7 +11,7 @@ graph-level answer be confirmed or refuted numerically:
   up numerically are only warned about, since random tables need not be
   faithful.  The trials are scored together: their joints are stacked on
   a leading axis, and each set of query nodes takes one marginal of the
-  stack and one moral graph, shared by every query over those nodes.
+  stack, shared by every query over those nodes.
 * `check_equivalence` instantiates two expressions with shared tables for
   designated terms and compares the conditional (or a marginal) they
   represent.
@@ -36,9 +36,7 @@ from .factorize import (
     PlateProduct,
     factorize_chain,
 )
-# implies_ci stays importable from here, beside the sweep that answers the
-# same queries through anterior_moral_graph and separates
-from .markov import CiQuery, anterior_moral_graph, implies_ci, separates  # noqa: F401
+from .markov import CiQuery, implies_ci
 
 MAX_JOINT_CONFIGS = 1 << 20
 MAX_MARKOV_NODES = 10
@@ -374,6 +372,7 @@ def check_global_markov(
     ``MAX_JOINT_CONFIGS`` entries, and the queries are grouped by the nodes
     they mention: per group and chunk one marginal is taken, which
     `_ci_deviations` scores for every query of the group and every trial.
+    Whether the graph implies a query is `implies_ci`'s answer.
     """
     if len(g.node_names) > MAX_MARKOV_NODES:
         raise StateSpaceError(
@@ -387,11 +386,7 @@ def check_global_markov(
     groups: dict[frozenset[str], list[int]] = {}
     for k, q in enumerate(queries):
         groups.setdefault(q.a | q.b | q.s, []).append(k)
-    implied = [False] * len(queries)
-    for nodes, ks in groups.items():
-        moral = anterior_moral_graph(g, nodes)
-        for k in ks:
-            implied[k] = separates(moral, queries[k])
+    implied = [implies_ci(g, q) for q in queries]
 
     max_dev = np.zeros(len(queries))
     seqs = np.random.SeedSequence(seed).spawn(trials)

@@ -50,6 +50,7 @@ def test_declaration_order_is_canonical():
         (["a"], [Edge("a", "a", False)], "self-loop"),
         (["a", "b"], [directed("a", "b"), undirected("a", "b")], "more than one edge"),
         (["a", "b"], [directed("a", "b"), directed("b", "a")], "more than one edge"),
+        (["a", "b"], [undirected("a", "b"), directed("b", "a")], "more than one edge"),
     ],
 )
 def test_construction_errors(nodes, edges, match):
@@ -116,6 +117,21 @@ def test_component_helpers():
     assert g.undirected_path("a", "b") == ["a", "b"]
     with pytest.raises(GraphError):
         g.undirected_path("a", "c")
+
+
+def test_component_index():
+    g = ChainGraph(
+        ["a", "b", "c", "d", "e", "f"],
+        [undirected("a", "b"), directed("b", "c"), directed("a", "d"),
+         undirected("d", "e"), directed("c", "e"), directed("e", "f")],
+    )
+    index = g.component_index
+    assert index is g.component_index  # computed once
+    assert index.components == (("a", "b"), ("c",), ("d", "e"), ("f",))
+    assert index.component_of == {"a": 0, "b": 0, "c": 1, "d": 2, "e": 2, "f": 3}
+    assert index.parents == (frozenset(), frozenset("b"), frozenset("ac"), frozenset("e"))
+    for comp, ps in zip(index.components, index.parents):
+        assert ps == g.parents_of_set(comp)
 
 
 # -- validation ----------------------------------------------------------------

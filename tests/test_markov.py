@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,7 @@ from chaingraph import (
     simplify_conditional_undirected,
     undirected,
 )
-from helpers import d_connected, random_dag, same_graph
+from helpers import d_connected, random_chain_graph, random_dag, random_mixed, same_graph
 
 
 # -- queries -------------------------------------------------------------------
@@ -86,7 +87,91 @@ def test_moralize_chain_on_fig1a_equals_directed(graphs):
     assert chain_pairs == directed_pairs
 
 
+def _components_by_union_find(g):
+    """Chain components found without the graph's own component index."""
+    root = {n: n for n in g.node_names}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for e in g.edges:
+        if not e.directed:
+            root[find(e.u)] = find(e.v)
+    comps = {}
+    for n in g.node_names:
+        comps.setdefault(find(n), []).append(n)
+    return list(comps.values())
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_moralize_chain_equals_parents_of_set_per_component(seed):
+    rng = random.Random(seed)
+    for n in range(2, 10):
+        for make in (random_chain_graph, random_mixed):
+            g = make(rng, n)
+            want = {frozenset((e.u, e.v)) for e in g.edges}
+            for comp in _components_by_union_find(g):
+                want |= {frozenset(p) for p in combinations(g.parents_of_set(comp), 2)}
+            got = moralize_chain(g).edge_pairs()
+            assert {frozenset(p) for p in got} == want
+            # canonical order: pairs sorted by declaration index, u before v
+            assert got == sorted(got, key=lambda p: (g.index(p[0]), g.index(p[1])))
+            assert all(g.index(u) < g.index(v) for u, v in got)
+
+
 # -- separation and implied independence ---------------------------------------
+
+
+def _singleton_queries(g):
+    names = g.node_names
+    for a, b in combinations(names, 2):
+        rest = [v for v in names if v not in (a, b)]
+        for k in range(len(rest) + 1):
+            for s in combinations(rest, k):
+                yield CiQuery(frozenset((a,)), frozenset((b,)), frozenset(s))
+
+
+def _textbook_implies_ci(g, q, cache):
+    """Separation in the moral graph of the induced anterior subgraph."""
+    nodes = q.a | q.b | q.s
+    if nodes not in cache:
+        cache[nodes] = moralize_chain(g.induced(g.ancestors_chain(nodes)))
+    return separates(cache[nodes], q)
+
+
+@pytest.mark.parametrize("seed", [5, 11, 404])
+def test_implies_ci_equals_separation_in_anterior_moral_graph(seed):
+    rng = random.Random(seed)
+    for n in range(2, 10):
+        # random_mixed graphs may carry semi-directed cycles, where an arc
+        # joins two nodes of one chain component; the walk must agree there too
+        for make in (random_chain_graph, random_mixed):
+            g = make(rng, n)
+            cache = {}
+            for q in _singleton_queries(g):
+                assert implies_ci(g, q) == _textbook_implies_ci(g, q, cache), q.text()
+
+
+def test_copies_answer_from_their_own_index():
+    rng = random.Random(99)
+    for n in range(3, 10):
+        g = random_chain_graph(rng, n)
+        index = g.component_index  # cached on g before any copy is made
+        names = g.node_names
+        for h in (g.observe(names[:1]), g.with_attrs({names[-1]: NodeAttr(domain_size=3)})):
+            assert h.component_index is not index
+            assert h.component_index == index
+        keep = [x for x in names if rng.random() < 0.6] or [names[0]]
+        sub = g.induced(keep)
+        assert sub.component_index is not index
+        assert {frozenset(c) for c in sub.component_index.components} == {
+            frozenset(c) for c in _components_by_union_find(sub)
+        }
+        cache = {}
+        for q in _singleton_queries(sub):
+            assert implies_ci(sub, q) == _textbook_implies_ci(sub, q, cache), q.text()
 
 
 def test_separates_path_graph():
