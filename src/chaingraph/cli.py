@@ -27,9 +27,7 @@ from .lang import Diagnostic, ModelError, emit_model, parse, resolve
 from .markov import (
     CliqueBoundError,
     QueryError,
-    UndirectedGraph,
     implies_ci,
-    max_cliques,
     moralize_chain,
     parse_ci_query,
     simplify_conditional_directed,
@@ -198,9 +196,7 @@ def _dispatch(ns, err) -> list[str] | None:
         for sub_ in conditional_subgraphs(g):
             if sub_.flavor != "undirected":
                 continue
-            plain = sub_.uncompleted()
-            ug = UndirectedGraph(plain.node_names, [(e.u, e.v) for e in plain.edges])
-            for c in max_cliques(ug):
+            for c in sub_.cliques():
                 lines.append(" ".join(g.sorted_nodes(c)))
         return lines
 

@@ -49,6 +49,10 @@ class NodeAttr:
 _DEFAULT_ATTR = NodeAttr()
 
 
+def _unknown(name: str) -> GraphError:
+    return GraphError(f"unknown node {name!r}")
+
+
 @dataclass(frozen=True)
 class Edge:
     """A single arc (directed=True, u -> v) or undirected edge (u -- v).
@@ -146,22 +150,26 @@ class ChainGraph:
         return name in self._attrs
 
     def attr(self, name: str) -> NodeAttr:
-        self._check(name)
-        return self._attrs[name]
+        try:
+            return self._attrs[name]
+        except KeyError:
+            raise _unknown(name) from None
 
     def attrs(self) -> dict[str, NodeAttr]:
         return dict(self._attrs)
 
     def index(self, name: str) -> int:
-        self._check(name)
-        return self._index[name]
+        try:
+            return self._index[name]
+        except KeyError:
+            raise _unknown(name) from None
 
     def sorted_nodes(self, names: Iterable[str]) -> tuple[str, ...]:
         """Sort names into canonical (declaration) order, validating each."""
-        names = list(names)
-        for n in names:
-            self._check(n)
-        return tuple(sorted(names, key=self._index.__getitem__))
+        try:  # the sort key looks every name up, even for a single name
+            return tuple(sorted(names, key=self._index.__getitem__))
+        except KeyError as exc:
+            raise _unknown(exc.args[0]) from None
 
     @property
     def is_directed(self) -> bool:
@@ -189,18 +197,24 @@ class ChainGraph:
 
     def parents(self, x: str) -> frozenset[str]:
         """Sources of arcs pointing into x."""
-        self._check(x)
-        return frozenset(self._parents[x])
+        try:
+            return frozenset(self._parents[x])
+        except KeyError:
+            raise _unknown(x) from None
 
     def children(self, x: str) -> frozenset[str]:
         """Targets of arcs leaving x."""
-        self._check(x)
-        return frozenset(self._children[x])
+        try:
+            return frozenset(self._children[x])
+        except KeyError:
+            raise _unknown(x) from None
 
     def neighbors(self, x: str) -> frozenset[str]:
         """Nodes joined to x by an undirected edge."""
-        self._check(x)
-        return frozenset(self._neighbors[x])
+        try:
+            return frozenset(self._neighbors[x])
+        except KeyError:
+            raise _unknown(x) from None
 
     def parents_of_set(self, a: Iterable[str]) -> frozenset[str]:
         """Union of the members' parents, minus the set itself."""
@@ -345,7 +359,7 @@ class ChainGraph:
 
     def _check(self, name: str) -> None:
         if name not in self._attrs:
-            raise GraphError(f"unknown node {name!r}")
+            raise _unknown(name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChainGraph(nodes={len(self._attrs)}, edges={len(self._edges)})"

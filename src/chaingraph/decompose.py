@@ -1,26 +1,35 @@
 """Decomposition of a chain graph into components and a master graph.
 
-Three nested structures are computed here:
+Three structures are computed here:
 
 * chain components -- connected components once every arc is deleted;
+* the master graph -- the quotient DAG over chain components, whose
+  topological order fixes the emission order of the factorization.  A
+  chain graph factorizes as the product over its chain components of
+  p(x_comp | x_parents(comp)), so each component is one block;
 * component subgraphs -- the coarsening that merges singleton chain
-  components connected (in either arc direction) through other singletons,
-  so each block induces a purely directed or purely undirected subgraph;
-* the master graph -- the quotient DAG over component subgraphs, whose
-  topological order fixes the emission order of the factorization.
+  components connected (in either arc direction) through other singletons.
+  It is kept only as the listing of the ``subgraphs`` command; nothing
+  downstream reads it.
 
-Each component subgraph is also packaged as a conditional subgraph: the
-block together with its parents, parents marked observed and completed into
-a clique (directed completion for directed blocks, undirected otherwise).
+Each block of the master graph is packaged as a conditional subgraph: the
+chain component together with its parents, the parents marked observed.
+No completion edges are added: two parents are adjacent only when the graph
+joins them.
+Its clique structure is read off the parent-extended adjacency, built from
+the graph's cached component index in time proportional to the block and
+its parents; no graph is built per block unless one is asked for.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
-from .core import ChainGraph, Edge, GraphError, NodeAttr
+from .core import ChainGraph, Edge, GraphError
+from .markov import maximal_cliques
 
 
 @dataclass(frozen=True)
@@ -75,26 +84,62 @@ def component_subgraphs(g: ChainGraph) -> Partition:
 
 @dataclass(frozen=True)
 class ConditionalSubgraph:
-    """One component subgraph extended with its (observed) parents.
+    """One chain component of ``source`` extended with its parents.
 
-    ``graph`` holds the completed form: all parents marked observed and made
-    pairwise adjacent.  For an undirected block every edge direction is
-    dropped; for a directed block the original arcs are kept and completion
-    arcs run from lower to higher canonical index.  ``completion_edges``
-    records exactly the edges the completion added, so the uncompleted
-    parent-extended graph is recoverable (clique listings and potentials are
-    read off the uncompleted form).
+    ``flavor`` is ``"undirected"`` for a component of two or more nodes and
+    ``"directed"`` for a single node.  ``parent_nodes`` is the component's
+    cached parent set.
     """
 
-    graph: ChainGraph
     own_nodes: frozenset[str]
     parent_nodes: frozenset[str]
     flavor: str  # "directed" | "undirected"
-    completion_edges: tuple[Edge, ...] = ()
+    source: ChainGraph
+
+    @cached_property
+    def graph(self) -> ChainGraph:
+        """The parent-extended graph: the block, its parents (marked
+        observed) and every edge among them, with arc directions dropped
+        for an undirected block.  Built on first use."""
+        g, parents = self.source, self.parent_nodes
+        nodes = g.sorted_nodes(self.own_nodes | parents)
+        keep = frozenset(nodes)
+        arcs = self.flavor == "directed"
+        attrs = {n: replace(g.attr(n), observed=True) if n in parents else g.attr(n) for n in nodes}
+        edges = []
+        for v in nodes:  # from the head's side, as in adjacency()
+            edges.extend(Edge(u, v, arcs) for u in g.parents(v) & keep)
+            edges.extend(Edge(u, v, False) for u in g.neighbors(v) & keep if u < v)
+        return ChainGraph(attrs, edges)
 
     def uncompleted(self) -> ChainGraph:
-        added = set(self.completion_edges)
-        return ChainGraph(self.graph.attrs(), [e for e in self.graph.edges if e not in added])
+        """The parent-extended graph, as :attr:`graph`."""
+        return self.graph
+
+    def adjacency(self) -> dict[str, set[str]]:
+        """The parent-extended graph with directions dropped, as an
+        adjacency map over members and parents.  A member is adjacent to
+        its parents and neighbours; a parent to the members it points into
+        and to the other parents it shares an edge with.  Edges are found
+        from the head's side (a node's parents and neighbours), so a hub
+        parent's children outside the block are never looked at."""
+        g, parents = self.source, self.parent_nodes
+        adj: dict[str, set[str]] = {p: set() for p in parents}
+        for x in self.own_nodes:
+            adj[x] = set(g.neighbors(x))
+        for x in self.own_nodes:
+            for p in g.parents(x):
+                adj[x].add(p)
+                adj[p].add(x)
+        for p in parents:
+            for q in (g.parents(p) | g.neighbors(p)) & parents:
+                adj[p].add(q)
+                adj[q].add(p)
+        return adj
+
+    def cliques(self) -> list[frozenset[str]]:
+        """Maximal cliques of the parent-extended graph, canonically ordered."""
+        return maximal_cliques(self.adjacency(), self.source.index)
 
 
 @dataclass(frozen=True)
@@ -110,94 +155,55 @@ class MasterGraph:
 
 
 def master_graph(g: ChainGraph) -> MasterGraph:
-    """Quotient the graph over its component subgraphs.
+    """Quotient the graph over its chain components.
 
-    An arc runs from block U to block V when some member of U has a child in
-    V.  For a valid chain graph over chain components this quotient is a DAG;
-    merging singletons can, in corner cases, produce arcs both ways between
-    two blocks, which is reported as an error because no emission order then
-    exists.
+    An arc runs from component U to component V when some member of U is a
+    parent of a member of V.  Components are ordered by Kahn's algorithm,
+    taking the ready component declared first, so blocks keep declaration
+    order wherever the arcs allow.  For a valid chain graph the quotient is
+    a DAG; a cycle in it is a semi-directed cycle and raises GraphError.
     """
-    part = component_subgraphs(g)
-    blocks = list(part.blocks)
-    block_idx: dict[str, int] = {}
-    for i, b in enumerate(blocks):
-        for n in b:
-            block_idx[n] = i
+    index = g.component_index
+    comps, comp_of = index.components, index.component_of
+    succ: list[list[int]] = [[] for _ in comps]
+    indeg = [0] * len(comps)
+    for j, ps in enumerate(index.parents):
+        sources = {comp_of[p] for p in ps}
+        indeg[j] = len(sources)
+        for i in sources:
+            succ[i].append(j)
 
-    succ: dict[int, set[int]] = {i: set() for i in range(len(blocks))}
-    for e in g.edges:
-        if not e.directed:
-            continue
-        bu, bv = block_idx[e.u], block_idx[e.v]
-        if bu != bv:
-            succ[bu].add(bv)
-
-    indeg = {i: 0 for i in range(len(blocks))}
-    for i, targets in succ.items():
-        for j in targets:
-            indeg[j] += 1
-    ready = [i for i in range(len(blocks)) if indeg[i] == 0]
-    heapq.heapify(ready)
+    # discovery order is declaration order, so the lowest position comes first
+    ready = [j for j, d in enumerate(indeg) if not d]  # ascending: already a heap
     emit: list[int] = []
     while ready:
         i = heapq.heappop(ready)
         emit.append(i)
-        for j in sorted(succ[i]):
+        for j in succ[i]:
             indeg[j] -= 1
-            if indeg[j] == 0:
+            if not indeg[j]:
                 heapq.heappush(ready, j)
-    if len(emit) != len(blocks):
-        stuck = [blocks[i] for i in range(len(blocks)) if i not in set(emit)]
-        names = "; ".join("{" + " ".join(g.sorted_nodes(b)) + "}" for b in stuck)
+    if len(emit) != len(comps):
+        stuck = [c for c, d in zip(comps, indeg) if d]
+        names = "; ".join("{" + " ".join(g.sorted_nodes(c)) + "}" for c in stuck)
         raise GraphError(
-            "component subgraphs admit no topological order "
-            f"(arcs run both ways between merged blocks): {names}"
+            "chain components admit no topological order (the graph has a "
+            f"semi-directed cycle, so it is no chain graph); left unordered: {names}"
         )
 
-    position = {old: new for new, old in enumerate(emit)}
-    subs = tuple(_conditional_subgraph(g, blocks[i]) for i in emit)
-    edges = tuple(
-        sorted((position[i], position[j]) for i, targets in succ.items() for j in targets)
+    position = [0] * len(comps)
+    for new, old in enumerate(emit):
+        position[old] = new
+    subs = tuple(
+        ConditionalSubgraph(
+            frozenset(comps[k]), index.parents[k], "undirected" if len(comps[k]) > 1 else "directed", g
+        )
+        for k in emit
     )
+    edges = tuple(sorted((position[i], position[j]) for i, targets in enumerate(succ) for j in targets))
     return MasterGraph(subs, edges)
 
 
 def conditional_subgraphs(g: ChainGraph) -> list[ConditionalSubgraph]:
-    """The component subgraphs with parents attached, in emission order."""
+    """The chain components with parents attached, in emission order."""
     return list(master_graph(g).subgraphs)
-
-
-def _conditional_subgraph(g: ChainGraph, block: frozenset[str]) -> ConditionalSubgraph:
-    parents = g.parents_of_set(block)
-    sub = g.induced(block | parents)
-    has_undirected = any(not e.directed and e.u in block for e in sub.edges)
-    flavor = "undirected" if has_undirected else "directed"
-
-    attrs = {
-        n: (NodeAttr(a.deterministic, True, a.domain_size) if n in parents else a)
-        for n, a in sub.attrs().items()
-    }
-
-    if flavor == "undirected":
-        base = [Edge(e.u, e.v, False) for e in sub.edges]
-    else:
-        base = list(sub.edges)
-
-    present = {e.pair for e in base}
-    added: list[Edge] = []
-    ordered_parents = g.sorted_nodes(parents)
-    for i, u in enumerate(ordered_parents):
-        for v in ordered_parents[i + 1 :]:
-            if frozenset((u, v)) not in present:
-                added.append(Edge(u, v, flavor == "directed"))
-                present.add(frozenset((u, v)))
-
-    completed = ChainGraph(attrs, base + added)
-    return ConditionalSubgraph(
-        graph=completed,
-        own_nodes=block,
-        parent_nodes=parents,
-        flavor=flavor,
-        completion_edges=tuple(added),
-    )

@@ -12,9 +12,11 @@ A factorization is an ordered product of terms:
   blocks have no parents);
 * ``delta`` -- delta(x | parents) for a deterministic node.
 
-Terms are emitted in master-graph topological order; within an undirected
-block the normalizer comes first, then potentials in canonical clique
-order.  Potential labels count up globally through the expression.
+Terms are emitted one chain component at a time, in the master graph's
+topological order (among components whose parents are all emitted, the one
+declared first goes next); within an undirected block the normalizer comes
+first, then potentials in canonical clique order.  Potential labels count
+up globally through the expression.
 `condition_expression` turns a product into the symbolic ratio for
 p(target | observed), summing hidden variables in the numerator and the
 hidden-plus-target variables in the denominator; terms mentioning no free
@@ -113,11 +115,12 @@ def _walk_terms(items: Iterable[Item]) -> Iterator[FactorTerm]:
 
 
 def _metadata(g: ChainGraph) -> dict:
+    attrs = g.attrs()
     return dict(
-        free_vars=frozenset(n for n in g.node_names if not g.attr(n).observed),
-        given_vars=frozenset(n for n in g.node_names if g.attr(n).observed),
+        free_vars=frozenset(n for n, a in attrs.items() if not a.observed),
+        given_vars=frozenset(n for n, a in attrs.items() if a.observed),
         order=g.node_names,
-        domains={n: g.attr(n).domain_size for n in g.node_names},
+        domains={n: a.domain_size for n, a in attrs.items()},
     )
 
 
@@ -154,16 +157,10 @@ def _subgraph_terms(
 ) -> tuple[list[FactorTerm], int]:
     """Terms for one conditional subgraph; returns the next free label."""
     if sub.flavor == "directed":
-        terms = [
-            _node_term(sub.graph, x, sub.graph.parents(x))
-            for x in g.sorted_nodes(sub.own_nodes)
-        ]
-        return terms, start_label
+        (x,) = sub.own_nodes
+        return [_node_term(g, x, g.parents(x))], start_label
 
-    plain = sub.uncompleted()
-    ug = UndirectedGraph(plain.node_names, [(e.u, e.v) for e in plain.edges])
-    cliques = max_cliques(ug)
-    member_cliques = [c for c in cliques if not c <= sub.parent_nodes]
+    member_cliques = [c for c in sub.cliques() if not c <= sub.parent_nodes]
     y = g.sorted_nodes(sub.parent_nodes)
 
     if not y and len(member_cliques) == 1:
@@ -212,8 +209,8 @@ def factorize_conditional(sub: ConditionalSubgraph) -> FactorExpression:
 
 
 def factorize_chain(g: ChainGraph) -> FactorExpression:
-    """The full joint as a product over conditional subgraphs in
-    master-graph topological order."""
+    """The full joint as a product over the chain components, each given
+    its parents, in master-graph topological order."""
     if g.is_directed:
         return factorize_directed(g)
     mg = master_graph(g)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .core import ChainGraph, Edge, GraphError
 
@@ -181,27 +181,46 @@ def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list
     Bron-Kerbosch with pivoting; exponential in the worst case, so graphs
     larger than ``node_bound`` nodes are refused.
     """
-    if len(ug) > node_bound:
+    return maximal_cliques(ug._adj, ug._index.__getitem__, node_bound)
+
+
+def maximal_cliques(
+    adj: Mapping[str, AbstractSet[str]],
+    position: Callable[[str], int],
+    node_bound: int = MAX_CLIQUE_NODES,
+) -> list[frozenset[str]]:
+    """The maximal cliques of the graph given by a symmetric adjacency map,
+    sorted by their members' positions.  :func:`max_cliques` is this over
+    an :class:`UndirectedGraph`; ``ConditionalSubgraph.cliques`` passes a
+    block's parent-extended adjacency directly."""
+    if len(adj) > node_bound:
         raise CliqueBoundError(
-            f"refusing clique enumeration on {len(ug)} nodes (bound {node_bound})"
+            f"refusing clique enumeration on {len(adj)} nodes (bound {node_bound})"
         )
-    if not ug.node_names:
-        return []
-    adj = {n: set(ug.neighbors(n)) for n in ug.node_names}
     out: list[frozenset[str]] = []
 
-    def expand(r: set[str], p: set[str], x: set[str]) -> None:
-        if not p and not x:
-            out.append(frozenset(r))
+    def expand(r: list[str], p: set[str], x: set[str]) -> None:
+        # r: the clique so far; p: its candidates; x: those already tried
+        if not p:
+            if not x:
+                out.append(frozenset(r))
             return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v], )
+        best = -1
+        for u in (*p, *x):  # the pivot keeps most candidates out of the loop
+            k = len(adj[u] & p)
+            if k > best:
+                best, pivot = k, u
+        for v in p - adj[pivot]:
+            nv = adj[v]
+            r.append(v)
+            expand(r, p & nv, x & nv)
+            r.pop()
             p.remove(v)
             x.add(v)
 
-    expand(set(), set(ug.node_names), set())
-    out.sort(key=lambda c: tuple(sorted(ug.index(n) for n in c)))
+    if adj:
+        expand([], set(adj), set())
+    out.sort(key=lambda c: sorted(map(position, c)))
     return out
 
 

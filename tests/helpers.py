@@ -7,10 +7,28 @@ acceptance suite.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
+import sys
+from pathlib import Path
 
 from chaingraph import ChainGraph, Edge, NodeAttr
+
+
+def _load_benchmark_reference():
+    # perfbench/ is a directory of scripts, not a package: load by path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's read-only checks (LWF moralization and separation,
+# d-separation, factorization coverage), written without chaingraph
+reference = _load_benchmark_reference()
 
 # ---------------------------------------------------------------------------
 # rendered-factorization comparison
@@ -206,6 +224,12 @@ def random_mixed(rng: random.Random, n: int, p: float = 0.4) -> ChainGraph:
 
 # ---------------------------------------------------------------------------
 # graph comparison
+
+
+def edge_triples(g: ChainGraph) -> list[tuple[str, str, bool]]:
+    """Edges as ``(u, v, directed)`` triples, the form the benchmark's
+    references take."""
+    return [(e.u, e.v, e.directed) for e in g.edges]
 
 
 def edge_signature(g: ChainGraph) -> set[tuple]:
