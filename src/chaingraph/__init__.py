@@ -36,7 +36,6 @@ from .markov import (
     implies_ci,
     max_cliques,
     moralize_chain,
-    moralize_directed,
     parse_ci_query,
     separates,
     simplify_conditional_directed,
@@ -50,8 +49,6 @@ from .factorize import (
     condition_expression,
     eliminate_deterministic,
     factorize_chain,
-    factorize_conditional,
-    factorize_directed,
     factorize_undirected,
     render,
     render_term,
@@ -97,7 +94,7 @@ _ORACLE_NAMES = frozenset({
     "all_singleton_queries", "assignment_from_rng",
     "build_joint", "check_equivalence", "check_global_markov",
     "ci_deviation", "conditional_deviation", "eliminated_assignment",
-    "marginal_deviation", "numeric_ci", "random_assignment",
+    "marginal_deviation", "random_assignment",
 })
 
 
@@ -115,12 +112,12 @@ __all__ = [
     "ConditionalSubgraph", "MasterGraph", "Partition",
     "chain_components", "component_subgraphs", "conditional_subgraphs", "master_graph",
     "CiQuery", "CliqueBoundError", "QueryError", "UndirectedGraph",
-    "implies_ci", "max_cliques", "moralize_chain", "moralize_directed",
+    "implies_ci", "max_cliques", "moralize_chain",
     "parse_ci_query", "separates",
     "simplify_conditional_directed", "simplify_conditional_undirected",
     "FactorError", "FactorExpression", "FactorTerm", "PlateProduct",
     "condition_expression", "eliminate_deterministic",
-    "factorize_chain", "factorize_conditional", "factorize_directed", "factorize_undirected",
+    "factorize_chain", "factorize_undirected",
     "render", "render_term",
     "Binding", "Plate", "PlateError", "PlateModel",
     "expand", "factorize_plated", "indval", "validate_plates",
@@ -133,7 +130,7 @@ __all__ = [
     "all_singleton_queries", "assignment_from_rng",
     "build_joint", "check_equivalence", "check_global_markov",
     "ci_deviation", "conditional_deviation", "eliminated_assignment",
-    "marginal_deviation", "numeric_ci", "random_assignment",
+    "marginal_deviation", "random_assignment",
     "corpus",
     "__version__",
 ]

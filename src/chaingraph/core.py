@@ -15,6 +15,7 @@ at once.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -377,6 +378,36 @@ class ComponentIndex:
     component_of: dict[str, int]
     parents: tuple[frozenset[str], ...]
 
+    @cached_property
+    def sources(self) -> tuple[frozenset[int], ...]:
+        """``sources[j]``: the components holding component j's parents,
+        that is the tails of the quotient arcs into j."""
+        comp_of = self.component_of
+        return tuple(frozenset(comp_of[p] for p in ps) for ps in self.parents)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Component positions in a topological order of the quotient, by
+        Kahn's algorithm taking the ready component discovered first, so
+        components keep declaration order wherever the arcs allow.  It is
+        shorter than ``components`` exactly when the quotient has a cycle,
+        and then lists only the components that no cycle reaches."""
+        succ: list[list[int]] = [[] for _ in self.components]
+        indeg = [len(src) for src in self.sources]
+        for j, src in enumerate(self.sources):
+            for i in src:
+                succ[i].append(j)
+        ready = [j for j, d in enumerate(indeg) if not d]  # ascending: already a heap
+        emit: list[int] = []
+        while ready:
+            i = heapq.heappop(ready)
+            emit.append(i)
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, j)
+        return tuple(emit)
+
 
 # -- validation ---------------------------------------------------------------
 
@@ -416,22 +447,25 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     index = g.component_index
     comps, comp_of = index.components, index.component_of
 
-    quotient: dict[int, dict[int, tuple[str, str]]] = {i: {} for i in range(len(comps))}
+    # the witness quotient is built only when Kahn's pass finds a cycle
+    quotient: dict[int, dict[int, tuple[str, str]]] = {}
+    if len(index.order) < len(comps):
+        quotient = {i: {} for i in range(len(comps))}
     for e in g.edges:
         if not e.directed:
             continue
         cu, cv = comp_of[e.u], comp_of[e.v]
         if cu == cv:
-            back = g.induced(comps[cu]).undirected_path(e.v, e.u)
+            back = g.undirected_path(e.v, e.u)
             cycle = (e.u, *back[:-1])
             msg = "semi-directed cycle: " + f"{e.u} -> " + " -- ".join(back)
             errors.append(Violation("semi-directed-cycle", msg, nodes=cycle, edge=(e.u, e.v)))
-        else:
+        elif quotient:
             quotient[cu].setdefault(cv, (e.u, e.v))
 
     for scc in _cyclic_sccs(quotient):
         comp_cycle = _cycle_within(quotient, scc)
-        nodes, msg = _node_level_witness(g, comps, quotient, comp_cycle)
+        nodes, msg = _node_level_witness(g, quotient, comp_cycle)
         first_edge = quotient[comp_cycle[0]][comp_cycle[1]]
         errors.append(Violation("semi-directed-cycle", msg, nodes=nodes, edge=first_edge))
 
@@ -527,7 +561,6 @@ def _cycle_within(quotient: dict[int, dict[int, tuple[str, str]]], scc: list[int
 
 def _node_level_witness(
     g: ChainGraph,
-    comps: list[list[str]],
     quotient: dict[int, dict[int, tuple[str, str]]],
     comp_cycle: list[int],
 ) -> tuple[tuple[str, ...], str]:
@@ -539,7 +572,7 @@ def _node_level_witness(
         comp_idx = comp_cycle[(i + 1) % k]
         entry = hops[i][1]
         exit_ = hops[(i + 1) % k][0]
-        seg = g.induced(comps[comp_idx]).undirected_path(entry, exit_)
+        seg = g.undirected_path(entry, exit_)
         segments.append(seg)
     nodes: list[str] = []
     for seg in segments:

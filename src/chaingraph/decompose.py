@@ -23,7 +23,6 @@ its parents; no graph is built per block unless one is asked for.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -158,34 +157,19 @@ def master_graph(g: ChainGraph) -> MasterGraph:
     """Quotient the graph over its chain components.
 
     An arc runs from component U to component V when some member of U is a
-    parent of a member of V.  Components are ordered by Kahn's algorithm,
-    taking the ready component declared first, so blocks keep declaration
-    order wherever the arcs allow.  For a valid chain graph the quotient is
-    a DAG; a cycle in it is a semi-directed cycle and raises GraphError.
+    parent of a member of V.  Components come in the cached Kahn order of
+    :attr:`ComponentIndex.order`, which takes the ready component declared
+    first, so blocks keep declaration order wherever the arcs allow.  For a
+    valid chain graph the quotient is a DAG; a cycle in it is a
+    semi-directed cycle and raises GraphError.
     """
     index = g.component_index
-    comps, comp_of = index.components, index.component_of
-    succ: list[list[int]] = [[] for _ in comps]
-    indeg = [0] * len(comps)
-    for j, ps in enumerate(index.parents):
-        sources = {comp_of[p] for p in ps}
-        indeg[j] = len(sources)
-        for i in sources:
-            succ[i].append(j)
-
-    # discovery order is declaration order, so the lowest position comes first
-    ready = [j for j, d in enumerate(indeg) if not d]  # ascending: already a heap
-    emit: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        emit.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                heapq.heappush(ready, j)
+    comps, emit = index.components, index.order
     if len(emit) != len(comps):
-        stuck = [c for c, d in zip(comps, indeg) if d]
-        names = "; ".join("{" + " ".join(g.sorted_nodes(c)) + "}" for c in stuck)
+        emitted = set(emit)
+        names = "; ".join(
+            "{" + " ".join(g.sorted_nodes(c)) + "}" for k, c in enumerate(comps) if k not in emitted
+        )
         raise GraphError(
             "chain components admit no topological order (the graph has a "
             f"semi-directed cycle, so it is no chain graph); left unordered: {names}"
@@ -200,7 +184,7 @@ def master_graph(g: ChainGraph) -> MasterGraph:
         )
         for k in emit
     )
-    edges = tuple(sorted((position[i], position[j]) for i, targets in enumerate(succ) for j in targets))
+    edges = tuple(sorted((position[i], position[j]) for j, src in enumerate(index.sources) for i in src))
     return MasterGraph(subs, edges)
 
 

@@ -12,11 +12,15 @@ A factorization is an ordered product of terms:
   blocks have no parents);
 * ``delta`` -- delta(x | parents) for a deterministic node.
 
-Terms are emitted one chain component at a time, in the master graph's
-topological order (among components whose parents are all emitted, the one
-declared first goes next); within an undirected block the normalizer comes
-first, then potentials in canonical clique order.  Potential labels count
-up globally through the expression.
+Every product comes from one rule: terms are emitted one chain component
+at a time, in the master graph's topological order (among components whose
+parents are all emitted, the one declared first goes next); within an
+undirected block the normalizer comes first, then potentials in canonical
+clique order.  Potential labels count up globally through the expression.
+A DAG is the case where every component is a single node, so its product
+is one p(x | parents(x)) per node in that same order, and `plates` places
+these same terms inside nested plate products.  `factorize_undirected` is
+a different product: one global normalizer over a whole Markov network.
 `condition_expression` turns a product into the symbolic ratio for
 p(target | observed), summing hidden variables in the numerator and the
 hidden-plus-target variables in the denominator; terms mentioning no free
@@ -124,20 +128,6 @@ def _metadata(g: ChainGraph) -> dict:
     )
 
 
-def _node_term(g: ChainGraph, x: str, parents: Iterable[str]) -> FactorTerm:
-    kind = "delta" if g.attr(x).deterministic else "conditional"
-    return FactorTerm(kind, head=(x,), given=g.sorted_nodes(parents))
-
-
-def factorize_directed(g: ChainGraph) -> FactorExpression:
-    """p(x | parents(x)) for every node, in canonical order.  Observedness is
-    ignored: the product is the full joint."""
-    if not g.is_directed:
-        raise GraphError("factorize_directed requires a purely directed graph")
-    terms = tuple(_node_term(g, x, g.parents(x)) for x in g.node_names)
-    return FactorExpression(items=terms, **_metadata(g))
-
-
 def factorize_undirected(g: ChainGraph) -> FactorExpression:
     """One potential per maximal clique plus a global normalizer over the
     empty set (the partition-function placeholder, rendered ``Z^-1``)."""
@@ -156,12 +146,13 @@ def _subgraph_terms(
     g: ChainGraph, sub: ConditionalSubgraph, start_label: int, group: int
 ) -> tuple[list[FactorTerm], int]:
     """Terms for one conditional subgraph; returns the next free label."""
+    y = g.sorted_nodes(sub.parent_nodes)
     if sub.flavor == "directed":
         (x,) = sub.own_nodes
-        return [_node_term(g, x, g.parents(x))], start_label
+        kind = "delta" if g.attr(x).deterministic else "conditional"
+        return [FactorTerm(kind, head=(x,), given=y)], start_label
 
     member_cliques = [c for c in sub.cliques() if not c <= sub.parent_nodes]
-    y = g.sorted_nodes(sub.parent_nodes)
 
     if not y and len(member_cliques) == 1:
         head = g.sorted_nodes(member_cliques[0])
@@ -182,44 +173,31 @@ def _subgraph_terms(
     return terms, label
 
 
-def _number_partition_functions(terms: list[FactorTerm]) -> list[FactorTerm]:
-    """Label the normalizers of parentless blocks Z_0, Z_1, ... when there
-    are two or more of them, so that term names stay unique."""
-    zs = [i for i, t in enumerate(terms) if t.kind == "normalizer" and not t.given]
-    if len(zs) < 2:
-        return terms
-    out = list(terms)
-    for k, i in enumerate(zs):
-        out[i] = replace(terms[i], label=f"Z_{k}")
-    return out
-
-
-def factorize_conditional(sub: ConditionalSubgraph) -> FactorExpression:
-    """Factorize a single conditional subgraph: per-node conditionals for a
-    directed block, normalizer plus clique potentials for an undirected one."""
-    terms, _ = _subgraph_terms(sub.graph, sub, 0, 0)
-    g = sub.graph
-    return FactorExpression(
-        items=tuple(terms),
-        free_vars=frozenset(sub.own_nodes),
-        given_vars=frozenset(sub.parent_nodes),
-        order=g.node_names,
-        domains={n: g.attr(n).domain_size for n in g.node_names},
-    )
+def _block_terms(g: ChainGraph) -> Iterator[tuple[ConditionalSubgraph, FactorTerm]]:
+    """Every term of the chain-component product with the block it belongs
+    to, in the master graph's order.  Potential labels count up across
+    blocks; the normalizers of parentless blocks are numbered Z_0, Z_1, ...
+    when there are two or more of them, so that term names stay unique."""
+    pairs: list[tuple[ConditionalSubgraph, FactorTerm]] = []
+    label = 0
+    for group, sub in enumerate(master_graph(g).subgraphs):
+        terms, label = _subgraph_terms(g, sub, label, group)
+        pairs.extend((sub, t) for t in terms)
+    zs = [i for i, (_, t) in enumerate(pairs) if t.kind == "normalizer" and not t.given]
+    if len(zs) > 1:
+        for k, i in enumerate(zs):
+            sub, t = pairs[i]
+            pairs[i] = (sub, replace(t, label=f"Z_{k}"))
+    yield from pairs
 
 
 def factorize_chain(g: ChainGraph) -> FactorExpression:
     """The full joint as a product over the chain components, each given
-    its parents, in master-graph topological order."""
-    if g.is_directed:
-        return factorize_directed(g)
-    mg = master_graph(g)
-    terms: list[FactorTerm] = []
-    label = 0
-    for group, sub in enumerate(mg.subgraphs):
-        sub_terms, label = _subgraph_terms(g, sub, label, group)
-        terms.extend(sub_terms)
-    return FactorExpression(items=tuple(_number_partition_functions(terms)), **_metadata(g))
+    its parents, in master-graph topological order.  A DAG is the case
+    where every component is a single node: one p(x | parents(x)) each.
+    Observedness is ignored: the product is the full joint."""
+    terms = tuple(t for _, t in _block_terms(g))
+    return FactorExpression(items=terms, **_metadata(g))
 
 
 def condition_expression(e: FactorExpression, target: Iterable[str]) -> FactorExpression:

@@ -152,20 +152,6 @@ class UndirectedGraph:
         return len(self._nodes)
 
 
-def moralize_directed(g: ChainGraph) -> UndirectedGraph:
-    """Marry each node's parents pairwise, then drop arc directions."""
-    if not g.is_directed:
-        raise GraphError("moralize_directed requires a purely directed graph")
-    pairs = {(e.u, e.v) for e in g.edges}
-    marriages = set()
-    for x in g.node_names:
-        ps = g.sorted_nodes(g.parents(x))
-        for i, u in enumerate(ps):
-            for v in ps[i + 1 :]:
-                marriages.add((u, v))
-    return UndirectedGraph(g.node_names, list(pairs) + list(marriages))
-
-
 def moralize_chain(g: ChainGraph) -> UndirectedGraph:
     """Join every two nodes with children in a common chain component,
     then drop all arc directions."""

@@ -259,10 +259,6 @@ def ci_deviation(j: JointTable, q: CiQuery) -> float:
     return float(_ci_deviations(j.table[None], j.vars, q)[0])
 
 
-def numeric_ci(j: JointTable, q: CiQuery, tol: float = DEFAULT_TOL) -> bool:
-    return ci_deviation(j, q) <= tol
-
-
 def conditional_deviation(
     j1: JointTable, j2: JointTable, head: Iterable[str], given: Iterable[str]
 ) -> float:

@@ -8,26 +8,27 @@ its enclosing plate (ragged nesting), e.g. ``Banks=2, Prices=[2,3]``.
 
 `expand` produces the ground graph (copies named ``base_i`` / ``base_i_j``);
 `factorize_plated` without a binding yields the symbolic nested-product
-form, with one product per plate, mirroring the template structure.
+form, with one product per plate, mirroring the template structure.  Its
+terms are those of `factorize_chain` on the template graph, in the same
+emission order: each term sits in the product of its block's plates, and a
+plate product takes the place of the first term inside it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
 from .core import ChainGraph, Edge, NodeAttr, ValidationReport, Violation
-from .decompose import master_graph
 from .factorize import (
     FactorError,
     FactorExpression,
     FactorTerm,
     Item,
     PlateProduct,
+    _block_terms,
     _metadata,
-    _number_partition_functions,
-    _subgraph_terms,
     factorize_chain,
 )
 
@@ -307,39 +308,14 @@ def _symbolic_expression(m: PlateModel) -> FactorExpression:
             )
     rename = {v: _suffix(m, v) for v in g.node_names}
 
-    # flat terms with the chain of plates each term lives in
+    # each term with its block's plate chain (undirected edges never cross
+    # a plate boundary, so a block's members share one) and its emission
+    # position, which orders the terms as their blocks are ordered
     placed: list[tuple[tuple[Plate, ...], int, FactorTerm]] = []
-    if g.is_directed:
-        flat: list[tuple[frozenset[str], FactorTerm]] = [
-            (frozenset((x,)), FactorTerm("delta" if g.attr(x).deterministic else "conditional",
-                                         head=(x,), given=g.sorted_nodes(g.parents(x))))
-            for x in g.node_names
-        ]
-    else:
-        flat = []
-        label = 0
-        for group, sub in enumerate(master_graph(g).subgraphs):
-            terms, label = _subgraph_terms(g, sub, label, group)
-            for t in terms:
-                own = frozenset(t.head) if t.head else frozenset(sub.own_nodes)
-                flat.append((own, t))
-        numbered = _number_partition_functions([t for _, t in flat])
-        flat = [(own, t) for (own, _), t in zip(flat, numbered)]
-
-    for own, t in flat:
-        own_chains = {chains[v] for v in own}
-        if len(own_chains) != 1:
-            raise FactorError(
-                "a directed block spans plate boundaries; no nested product form exists — bind the plates instead"
-            )
-        chain = next(iter(own_chains))
-        pos = min(g.index(v) for v in own)
-        renamed = FactorTerm(
-            t.kind,
-            head=tuple(rename[v] for v in t.head),
-            given=tuple(rename[v] for v in t.given),
-            label=t.label,
-            group=t.group,
+    for pos, (sub, t) in enumerate(_block_terms(g)):
+        chain = chains[next(iter(sub.own_nodes))]
+        renamed = replace(
+            t, head=tuple(rename[v] for v in t.head), given=tuple(rename[v] for v in t.given)
         )
         placed.append((chain, pos, renamed))
 

@@ -80,6 +80,29 @@ def test_factorize_plated_and_bound():
     assert out == "p(theta) p(heads_1|theta) p(heads_2|theta)\n"
 
 
+# One emission rule, the master graph's topological order, whatever the
+# declaration order: for a DAG, a plated model and its ground graph alike.
+
+
+def test_child_declared_before_its_parent_comes_after_it(tmp_path):
+    dag = tmp_path / "dag.cg"
+    dag.write_text("model dag {\n    node y;\n    node x;\n    x -> y;\n}\n", encoding="utf-8")
+    assert invoke("factorize", str(dag)) == (0, "p(x) p(y|x)\n", "")
+
+
+def test_plated_and_bound_products_share_the_emission_order(tmp_path):
+    plated = tmp_path / "plated.cg"
+    plated.write_text(
+        "model plated {\n    plate p [N] {\n        node y;\n        node z;\n    }\n"
+        "    node x;\n    x -> y;\n    y -- z;\n}\n",
+        encoding="utf-8",
+    )
+    code, out, _ = invoke("factorize", str(plated))
+    assert (code, out) == (0, "p(x) prod_{i in N} [ f_0(x) f_1(y_i,z_i) f_2(y_i,x) ]\n")
+    code, out, _ = invoke("factorize", str(plated), "--bind", "N=2")
+    assert (code, out) == (0, "p(x) f_0(x) f_1(y_1,z_1) f_2(y_1,x) f_3(x) f_4(y_2,z_2) f_5(y_2,x)\n")
+
+
 def test_expand_and_simplify_and_elim():
     code, out, _ = invoke("expand", cg("coin"), "--bind", "N=2")
     assert code == 0 and "theta -> heads_2;" in out

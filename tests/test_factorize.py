@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chaingraph import (
@@ -10,15 +12,12 @@ from chaingraph import (
     directed,
     eliminate_deterministic,
     factorize_chain,
-    factorize_conditional,
-    factorize_directed,
     factorize_undirected,
-    conditional_subgraphs,
     render,
     render_term,
     undirected,
 )
-from helpers import same_graph
+from helpers import random_dag, same_graph
 
 
 # -- whole-corpus golden renders -------------------------------------------------
@@ -80,8 +79,6 @@ def test_latex_variable_treatment(graphs):
 
 def test_factorize_flavor_guards(graphs):
     with pytest.raises(GraphError):
-        factorize_directed(graphs["fig2"])
-    with pytest.raises(GraphError):
         factorize_undirected(graphs["fig1a"])
 
 
@@ -103,19 +100,10 @@ def test_factorize_directed_ignores_observation():
     g = ChainGraph(
         {"a": NodeAttr(observed=True), "b": NodeAttr()}, [directed("a", "b")]
     )
-    e = factorize_directed(g)
+    e = factorize_chain(g)
     assert render(e) == "p(a) p(b|a)"
     assert e.given_vars == frozenset("a")
     assert e.free_vars == frozenset("b")
-
-
-def test_factorize_conditional_single_block(graphs):
-    subs = conditional_subgraphs(graphs["fig2"])
-    efgh = next(s for s in subs if s.own_nodes == frozenset("efgh"))
-    e = factorize_conditional(efgh)
-    assert render(e) == "f_0(b,c) f_1(b,f) f_2(c,e) f_3(e,f) f_4(e,g) f_5(f,h) f_6(g,h)"
-    assert e.free_vars == frozenset("efgh")
-    assert e.given_vars == frozenset("bc")
 
 
 def test_labels_run_across_blocks():
@@ -141,6 +129,35 @@ def test_parentless_multi_clique_block_gets_global_z():
     kinds = [t.kind for t in e.terms]
     assert kinds[0] == "normalizer"
     assert render(e) == "Z^-1 f_0(a,b) f_1(b,c)"
+
+
+# -- emission order ------------------------------------------------------------
+
+
+def _shuffled(rng, g):
+    """The same graph with its nodes declared in a random order."""
+    names = list(g.node_names)
+    rng.shuffle(names)
+    return ChainGraph({n: g.attr(n) for n in names}, g.edges)
+
+
+def test_dag_terms_follow_their_parents_whatever_the_declaration_order():
+    rng = random.Random(5)
+    for _ in range(30):
+        g = _shuffled(rng, random_dag(rng, rng.randint(2, 12)))
+        e = factorize_chain(g)
+        emitted: set[str] = set()
+        for t in e.terms:
+            assert set(t.given) <= emitted, (render(e), t)
+            emitted.update(t.head)
+        assert emitted == set(g.node_names)
+
+
+def test_dag_declared_in_topological_order_keeps_declaration_order():
+    rng = random.Random(6)
+    for _ in range(30):
+        g = random_dag(rng, rng.randint(1, 12))
+        assert [t.head for t in factorize_chain(g).terms] == [(x,) for x in g.node_names]
 
 
 # -- conditioning ----------------------------------------------------------------

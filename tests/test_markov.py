@@ -15,14 +15,21 @@ from chaingraph import (
     implies_ci,
     max_cliques,
     moralize_chain,
-    moralize_directed,
     parse_ci_query,
     separates,
     simplify_conditional_directed,
     simplify_conditional_undirected,
     undirected,
 )
-from helpers import d_connected, random_chain_graph, random_dag, random_mixed, same_graph
+from helpers import (
+    d_connected,
+    edge_triples,
+    random_chain_graph,
+    random_dag,
+    random_mixed,
+    reference,
+    same_graph,
+)
 
 
 # -- queries -------------------------------------------------------------------
@@ -61,14 +68,6 @@ def test_query_text_respects_order():
 # -- moralization --------------------------------------------------------------
 
 
-def test_moralize_directed_marries_coparents():
-    g = ChainGraph(["a", "b", "c"], [directed("a", "c"), directed("b", "c")])
-    moral = moralize_directed(g)
-    assert set(moral.neighbors("a")) == {"b", "c"}
-    with pytest.raises(GraphError):
-        moralize_directed(ChainGraph(["a", "b"], [undirected("a", "b")]))
-
-
 def test_moralize_chain_marries_component_coparents(graphs):
     moral = moralize_chain(graphs["fig2"])
     # a and c share the child d
@@ -80,11 +79,13 @@ def test_moralize_chain_marries_component_coparents(graphs):
     assert "h" not in moral.neighbors("e")
 
 
-def test_moralize_chain_on_fig1a_equals_directed(graphs):
-    g = graphs["fig1a"]
-    chain_pairs = set(moralize_chain(g).edge_pairs())
-    directed_pairs = set(moralize_directed(g).edge_pairs())
-    assert chain_pairs == directed_pairs
+def test_moralize_chain_equals_reference_moral_edges(graphs):
+    # on a DAG, LWF moralization is classic moralization: parents married
+    rng = random.Random(17)
+    dags = [graphs["fig1a"], graphs["fig1b"]] + [random_dag(rng, rng.randint(2, 9)) for _ in range(20)]
+    for g in dags:
+        pairs = {frozenset(p) for p in moralize_chain(g).edge_pairs()}
+        assert pairs == reference.moral_edges(g.node_names, edge_triples(g))
 
 
 def _components_by_union_find(g):
