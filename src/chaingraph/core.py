@@ -72,10 +72,6 @@ class Edge:
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
 
-    @property
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.u, self.v))
-
 
 def directed(u: str, v: str) -> Edge:
     return Edge(u, v, True)

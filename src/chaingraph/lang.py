@@ -18,9 +18,10 @@ Neither ever raises on arbitrary input text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .core import ChainGraph, Edge, GraphError, NodeAttr, Violation
 from .plates import Plate, PlateError, PlateModel, validate_plates
@@ -104,84 +105,60 @@ class ParseResult:
 
 # -- lexer -------------------------------------------------------------------
 
-_PUNCT = {"{": "lbrace", "}": "rbrace", "[": "lbracket", "]": "rbracket", ";": "semi"}
+# One alternative per token kind, tried in order; a match's kind is its group
+# name.  ``skip`` is whitespace or a comment, and the last three groups are
+# lexical errors.  An ``ident`` may not run into a non-ASCII word character,
+# so ``abcé`` is one ``word``, reported whole.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|\#[^\n]*)"
+    r"|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<lbracket>\[)|(?P<rbracket>\])|(?P<semi>;)"
+    r"|(?P<arrow>->)|(?P<line>--)|(?P<stray>-)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?!\w))"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<char>.)",
+    re.DOTALL,
+)
+
+_LEX_ERRORS = {
+    "stray": "stray '-': expected '->' or '--'",
+    "word": "non-ASCII identifier {!r}",
+    "char": "unexpected character {!r}",
+}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | keyword | int | lbrace | rbrace | lbracket | rbracket | semi | arrow | line | eof
+class _Token(NamedTuple):
+    kind: str  # a _TOKEN group other than skip and the errors, a keyword, or eof
     value: str
     span: SourceSpan
 
 
 def _lex(source: str, diags: list[Diagnostic]) -> list[_Token]:
+    """Tokens of ``source``, ending with ``eof``; lexical errors go to
+    ``diags``.  Columns count code points, offsets count UTF-8 bytes."""
     toks: list[_Token] = []
-    line, col, byte = 1, 1, 0
-    i, n = 0, len(source)
-
-    def advance(ch: str) -> None:
-        nonlocal line, col, byte
-        byte += len(ch.encode("utf-8", "surrogatepass"))
-        if ch == "\n":
-            line, col = line + 1, 1
+    line, line_start = 1, 0
+    ascii_only = source.isascii()
+    byte = 0  # where the current match ends, in UTF-8 bytes
+    for m in _TOKEN.finditer(source):
+        kind, text, i = m.lastgroup, m.group(), m.start()
+        if ascii_only:
+            b, byte = i, m.end()
         else:
-            col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
+            b, byte = byte, byte + len(text.encode("utf-8", "surrogatepass"))
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = i + text.rindex("\n") + 1
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                advance(source[i])
-                i += 1
+        span = SourceSpan(line, i - line_start + 1, b, byte)
+        if kind in _LEX_ERRORS:
+            diags.append(Diagnostic("error", _LEX_ERRORS[kind].format(text), span))
             continue
-        L, c, b = line, col, byte
-        if ch in _PUNCT:
-            advance(ch)
-            i += 1
-            toks.append(_Token(_PUNCT[ch], ch, SourceSpan(L, c, b, byte)))
-            continue
-        if ch == "-":
-            nxt = source[i + 1] if i + 1 < n else ""
-            if nxt in (">", "-"):
-                advance(ch)
-                advance(nxt)
-                i += 2
-                kind = "arrow" if nxt == ">" else "line"
-                toks.append(_Token(kind, "->" if nxt == ">" else "--", SourceSpan(L, c, b, byte)))
-            else:
-                advance(ch)
-                i += 1
-                diags.append(Diagnostic("error", "stray '-': expected '->' or '--'", SourceSpan(L, c, b, byte)))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                advance(source[j])
-                j += 1
-            toks.append(_Token("int", source[i:j], SourceSpan(L, c, b, byte)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                advance(source[j])
-                j += 1
-            word = source[i:j]
-            if not word.isascii():
-                diags.append(Diagnostic("error", f"non-ASCII identifier {word!r}", SourceSpan(L, c, b, byte)))
-            else:
-                kind = "keyword" if word in _KEYWORDS else "ident"
-                toks.append(_Token(kind, word, SourceSpan(L, c, b, byte)))
-            i = j
-            continue
-        advance(ch)
-        i += 1
-        diags.append(Diagnostic("error", f"unexpected character {ch!r}", SourceSpan(L, c, b, byte)))
-    toks.append(_Token("eof", "", SourceSpan(line, col, byte, byte)))
+        if kind == "ident" and text in _KEYWORDS:
+            kind = text
+        toks.append(_Token(kind, text, span))
+    toks.append(_Token("eof", "", SourceSpan(line, len(source) - line_start + 1, byte, byte)))
     return toks
 
 
@@ -204,9 +181,6 @@ class _Parser:
             self.pos += 1
         return t
 
-    def at_kw(self, word: str) -> bool:
-        return self.cur.kind == "keyword" and self.cur.value == word
-
     def error(self, message: str, span: SourceSpan | None = None) -> None:
         self.diags.append(Diagnostic("error", message, span or self.cur.span))
 
@@ -216,14 +190,6 @@ class _Parser:
         got = self.cur.value or "end of input"
         self.error(f"expected {what}, found {got!r}")
         return None
-
-    def expect_kw(self, word: str) -> bool:
-        if self.at_kw(word):
-            self.bump()
-            return True
-        got = self.cur.value or "end of input"
-        self.error(f"expected '{word}', found {got!r}")
-        return False
 
     def sync_statement(self) -> None:
         """Skip to just past the next ';' at brace depth 0 (or stop before
@@ -260,7 +226,7 @@ class _Parser:
 
     def parse_model(self) -> ModelAst | None:
         first = self.cur.span
-        if not self.expect_kw("model"):
+        if self.expect("model", "'model'") is None:
             return None
         name_tok = self.expect("ident", "model name")
         if name_tok is None:
@@ -286,9 +252,9 @@ class _Parser:
 
     def parse_statement(self, depth: int) -> Stmt | None:
         t = self.cur
-        if t.kind == "keyword" and t.value in ("det", "obs", "node"):
+        if t.kind in ("det", "obs", "node"):
             return self.parse_node_decl()
-        if t.kind == "keyword" and t.value == "plate":
+        if t.kind == "plate":
             return self.parse_plate_decl(depth)
         if t.kind == "ident":
             return self.parse_edge_decl()
@@ -299,13 +265,13 @@ class _Parser:
     def parse_node_decl(self) -> NodeDecl | None:
         start = self.cur.span
         attrs: list[str] = []
-        while self.cur.kind == "keyword" and self.cur.value in ("det", "obs"):
+        while self.cur.kind in ("det", "obs"):
             word = self.bump().value
             if word in attrs:
                 self.error(f"duplicate attribute '{word}'", self.toks[self.pos - 1].span)
             else:
                 attrs.append(word)
-        if not self.expect_kw("node"):
+        if self.expect("node", "'node'") is None:
             self.sync_statement()
             return None
         name = self.expect("ident", "node name")
@@ -363,7 +329,10 @@ class _Parser:
             self.sync_statement()
             return None
         if depth + 1 > MAX_PLATE_NESTING:
-            self.error(f"plates nested deeper than {MAX_PLATE_NESTING}", start)
+            self.error(
+                f"plate {name.value!r} has {depth + 1} levels of nesting, over the limit of {MAX_PLATE_NESTING}",
+                start,
+            )
             self.skip_block()
             return None
         if self.expect("lbrace", "'{'") is None:

@@ -181,7 +181,7 @@ def maximal_cliques(
     block's parent-extended adjacency directly."""
     if len(adj) > node_bound:
         raise CliqueBoundError(
-            f"refusing clique enumeration on {len(adj)} nodes (bound {node_bound})"
+            f"clique enumeration graph has {len(adj)} nodes, over the limit of {node_bound}"
         )
     out: list[frozenset[str]] = []
 

@@ -372,7 +372,7 @@ def check_global_markov(
     """
     if len(g.node_names) > MAX_MARKOV_NODES:
         raise StateSpaceError(
-            f"global Markov sweep is limited to {MAX_MARKOV_NODES} nodes, got {len(g.node_names)}"
+            f"global Markov sweep graph has {len(g.node_names)} nodes, over the limit of {MAX_MARKOV_NODES}"
         )
     if trials < 1:
         raise OracleError("trials must be positive")

@@ -232,7 +232,16 @@ def test_resource_errors_exit_3():
     # ground coin with N=10 has 11 nodes, one over the sweep's limit
     code, _, err = invoke("oracle", cg("coin"), "--bind", "N=10")
     assert code == 3
-    assert "10 nodes" in err
+    assert "has 11 nodes, over the limit of 10" in err
+
+
+def test_non_ascii_numeral_is_a_diagnostic(tmp_path):
+    bad = tmp_path / "sup.cg"
+    bad.write_text("model m {\n    node x [\u00b2];\n}\n", encoding="utf-8")
+    code, out, err = invoke("validate", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{bad}:2:13: error: ")
+    assert "Traceback" not in err
 
 
 def test_import_leaves_numpy_unloaded():

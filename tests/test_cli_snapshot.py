@@ -1,7 +1,8 @@
 """Byte-level snapshot of the CLI on the bundled corpus.
 
 Every corpus model goes through each read-only subcommand in process, via
-``cli.run``, together with a few bound, conditioned and query calls.  The
+``cli.run``, together with a few bound, conditioned and query calls, and
+``validate`` runs on a few malformed sources to pin the reject paths.  The
 exit code, stdout and stderr of each call, with the model path shown as the
 model name, must match ``tests/data/cli_snapshot.txt``.  After an intended
 output change, rewrite that file with
@@ -12,6 +13,7 @@ output change, rewrite that file with
 from __future__ import annotations
 
 import io
+import tempfile
 from pathlib import Path
 
 import chaingraph
@@ -43,14 +45,24 @@ EXTRA = (
     ("boltzmann", "factorize", "--condition", "o"),
 )
 
+# name -> source; each is recorded through ``validate``
+MALFORMED = {
+    "stray_dash": "model m {\n    node a;\n    node b;\n    a - b;\n}\n",
+    "unexpected_char": "model m {\n    node a$;\n    node b;\n}\n",
+    "non_ascii_ident": "# d\u00e9j\u00e0 vu \u20ac \U0001f600\nmodel m {\n    node ok;  # caf\u00e9\n    node na\u00efve;\n}\n",
+    "missing_semi": "model m {\n    node a\n    node b;\n}\n",
+    "unclosed_brace": "model m {\n    node a;\n    plate p [N] {\n        node b;\n}\n",
+    "zero_domain": "model m {\n    node a [0];\n    node b [2];\n}\n",
+}
+
 
 def calls() -> list[tuple[str, ...]]:
     """(model name, subcommand, options...) for every recorded call."""
     return [(name, *cmd) for name in corpus.MODEL_NAMES for cmd in COMMANDS] + list(EXTRA)
 
 
-def record(name: str, command: str, *options: str) -> str:
-    path = str(MODELS / f"{name}.cg")
+def record(name: str, command: str, *options: str, models: Path = MODELS) -> str:
+    path = str(models / f"{name}.cg")
     out, err = io.StringIO(), io.StringIO()
     code = run([command, path, *options], out=out, err=err)
     lines = [f"$ {command} {name} {' '.join(options)}".rstrip(), f"exit {code}"]
@@ -63,7 +75,12 @@ def record(name: str, command: str, *options: str) -> str:
 
 
 def snapshot() -> str:
-    return "".join(record(*call) for call in calls())
+    text = "".join(record(*call) for call in calls())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, source in MALFORMED.items():
+            (Path(tmp) / f"{name}.cg").write_text(source, encoding="utf-8")
+            text += record(name, "validate", models=Path(tmp))
+    return text
 
 
 def test_cli_output_matches_snapshot():

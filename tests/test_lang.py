@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from chaingraph import (
     print_model,
     resolve,
 )
+from chaingraph.lang import _lex
 from helpers import same_graph
 
 
@@ -110,7 +112,68 @@ def test_deep_nesting_is_cut_off():
     src = "model m { " + "plate p [N] { " * 20 + "node x; " + "} " * 20 + "}"
     r = parse(src)
     assert not r.ok
-    assert any("nest" in d.message for d in r.diagnostics)
+    assert any("has 17 levels of nesting, over the limit of 16" in d.message for d in r.diagnostics)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u00b9", "\u00b3", "\u0661"])
+def test_domain_sizes_are_ascii_numerals(digit):
+    # superscripts pass str.isdigit and Arabic-Indic digits pass int(); neither is a domain size
+    r = parse(f"model m {{ node x [{digit}]; }}")
+    assert not r.ok
+    errors = [d for d in r.diagnostics if d.severity == "error"]
+    assert errors and all(d.span is not None for d in errors)
+    assert errors[0].span.line == 1 and errors[0].span.column == 19
+
+
+_WIDE = ["\u00e9", "\u20ac", "\U0001f600", "\ud800"]
+
+
+def _wide_source(rng):
+    lines = ["model m {"]
+    for i in range(rng.randint(1, 12)):
+        word = "".join(rng.choice(["a", "_", "7"] + _WIDE) for _ in range(rng.randint(0, 3)))
+        stmt = rng.choice([f"node a{i}", f"node a{i}{word}", f"a{i} -> {word}b", f"{word} -- b", "node x [2]"])
+        comment = "".join(rng.choice(["x", " ", "#"] + _WIDE) for _ in range(rng.randint(0, 6)))
+        lines.append(f"  {stmt}; # {comment}" if rng.random() < 0.5 else f"{comment}{stmt};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def test_spans_on_non_ascii_source():
+    rng = random.Random(11)
+    for _ in range(400):
+        src = _wide_source(rng)
+        data = src.encode("utf-8", "surrogatepass")
+        diags = []
+        toks = _lex(src, diags)
+        spans = [(t.span, t.value) for t in toks]
+        for d in diags:
+            text = data[d.span.start : d.span.end].decode("utf-8", "surrogatepass")
+            assert text == "-" if d.message.startswith("stray") else repr(text) in d.message
+            spans.append((d.span, text))
+        for span, text in spans:
+            assert data[span.start : span.end] == text.encode("utf-8", "surrogatepass")
+            before = data[: span.start].decode("utf-8", "surrogatepass")
+            assert span.line == before.count("\n") + 1
+            assert span.column == len(before) - before.rfind("\n")
+        assert toks[-1].kind == "eof" and toks[-1].span.start == len(data)
+        parse(src)  # must not throw
+
+
+def test_non_ascii_lexing_is_linear():
+    # re-encoding the prefix for each token's byte offset would make this about 4.5x;
+    # linear code measures 1.8-2.4x on a busy machine, hence the margin
+    def source(lines):
+        return "model m {\n" + "".join(f"  node n{i};  # caf\u00e9 \u20ac {i}\n" for i in range(lines)) + "}\n"
+
+    small, large = source(1000), source(2000)
+    best = {small: float("inf"), large: float("inf")}
+    for _ in range(7):
+        for src in best:
+            t = time.perf_counter()
+            assert parse(src).ok
+            best[src] = min(best[src], time.perf_counter() - t)
+    assert best[large] <= 3.0 * best[small]
 
 
 def test_parse_never_raises_on_garbage():

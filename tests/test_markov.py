@@ -227,7 +227,7 @@ def test_max_cliques_edgeless_and_empty():
 
 def test_max_cliques_bound():
     ug = UndirectedGraph([f"n{i}" for i in range(10)], [])
-    with pytest.raises(CliqueBoundError):
+    with pytest.raises(CliqueBoundError, match="graph has 10 nodes, over the limit of 9"):
         max_cliques(ug, node_bound=9)
 
 

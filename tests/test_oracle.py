@@ -264,7 +264,7 @@ def test_check_global_markov_soundness(graphs):
 
 def test_check_global_markov_node_bound(models):
     # ground coin with N=10 has 11 nodes, one over the limit
-    with pytest.raises(StateSpaceError, match="limited to 10 nodes, got 11"):
+    with pytest.raises(StateSpaceError, match="sweep graph has 11 nodes, over the limit of 10"):
         check_global_markov(expand(models["coin"], {"N": 10}))
 
 
