@@ -77,7 +77,6 @@ from .lang import (
     load_model,
     parse,
     parse_model,
-    print_model,
     resolve,
 )
 from .dot import to_dot
@@ -123,7 +122,7 @@ __all__ = [
     "expand", "factorize_plated", "indval", "validate_plates",
     "Diagnostic", "EdgeDecl", "ModelAst", "ModelError", "NodeDecl",
     "ParseResult", "PlateDecl", "ResolveResult", "SourceSpan",
-    "emit_model", "load_model", "parse", "parse_model", "print_model", "resolve",
+    "emit_model", "load_model", "parse", "parse_model", "resolve",
     "to_dot",
     "EquivalenceReport", "JointTable", "MarkovReport", "OracleError",
     "PotentialAssignment", "QueryRecord", "StateSpaceError", "TermTable",

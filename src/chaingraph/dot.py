@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Union
 
 from .core import ChainGraph
-from .plates import PlateModel
+from .plates import Plate, PlateModel
 
 
 def _q(name: str) -> str:
@@ -37,34 +37,20 @@ def to_dot(m: Union[PlateModel, ChainGraph]) -> str:
 
     lines: list[str] = [f"digraph {_q(m.name)} {{", "    node [shape=ellipse];"]
 
-    # innermost plate wins when clusters nest
-    cluster_of: dict[str, str] = {}
+    # a node is drawn in its innermost plate's cluster
+    for root in m.children(None):
+        for d, item in m.walk(root):
+            pad = "    " * (d + 1)
+            if isinstance(item, Plate):
+                lines.append(f"{pad}subgraph {_q('cluster_' + item.name)} {{")
+                lines.append(f'{pad}    label="{item.symbol}";')
+                lines.append(f"{pad}    labelloc=b;")
+            elif item is None:
+                lines.append(f"{pad}}}")
+            else:
+                lines.append(f"{pad}{_node_stmt(g, item)}")
     for v in g.node_names:
-        chain = m.membership(v)
-        if chain:
-            cluster_of[v] = chain[-1].name
-
-    children: dict[str | None, list[str]] = {}
-    for p in m.plates:
-        children.setdefault(p.parent, []).append(p.name)
-
-    def emit_plate(name: str, indent: int) -> None:
-        pad = "    " * indent
-        p = m.plate(name)
-        lines.append(f"{pad}subgraph {_q('cluster_' + name)} {{")
-        lines.append(f'{pad}    label="{p.symbol}";')
-        lines.append(f"{pad}    labelloc=b;")
-        for v in g.node_names:
-            if cluster_of.get(v) == name:
-                lines.append(f"{pad}    {_node_stmt(g, v)}")
-        for child in children.get(name, []):
-            emit_plate(child, indent + 1)
-        lines.append(f"{pad}}}")
-
-    for root in children.get(None, []):
-        emit_plate(root, 1)
-    for v in g.node_names:
-        if v not in cluster_of:
+        if not m.membership(v):
             lines.append(f"    {_node_stmt(g, v)}")
 
     for e in g.edges:

@@ -478,53 +478,21 @@ def resolve(ast: ModelAst) -> ResolveResult:
     return ResolveResult(model, diags)
 
 
-# -- printing and loading ----------------------------------------------------
-
-
-def print_model(ast: ModelAst) -> str:
-    """Canonical text for an AST; re-parsing it yields an equal AST."""
-
-    lines: list[str] = [f"model {ast.name} {{"]
-
-    def emit(stmts: tuple[Stmt, ...], indent: int) -> None:
-        pad = "    " * indent
-        for s in stmts:
-            if isinstance(s, NodeDecl):
-                head = " ".join((*s.attrs, "node", s.name))
-                dom = f" [{s.domain}]" if s.domain is not None else ""
-                lines.append(f"{pad}{head}{dom};")
-            elif isinstance(s, EdgeDecl):
-                op = "->" if s.directed else "--"
-                lines.append(f"{pad}{s.u} {op} {s.v};")
-            else:
-                lines.append(f"{pad}plate {s.name} [{s.symbol}] {{")
-                emit(s.body, indent + 1)
-                lines.append(f"{pad}}}")
-
-    emit(ast.statements, 1)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+# -- emission and loading ----------------------------------------------------
 
 
 def emit_model(m: Union[PlateModel, ChainGraph], name: str | None = None) -> str:
     """Model text that resolves back to an equivalent model.
 
     Nodes keep their declaration order except that a plate's members are
-    grouped into its block (they are contiguous for any parsed model).
+    grouped into its block (they are contiguous for any parsed model): a
+    top-level plate opens at its first member, and one with no member
+    node opens after the unplated nodes.
     """
     if isinstance(m, ChainGraph):
         m = PlateModel(m, (), name=name or "G")
     g = m.graph
     lines: list[str] = [f"model {name or m.name} {{"]
-
-    innermost: dict[str, str] = {}
-    for v in g.node_names:
-        chain = m.membership(v)
-        if chain:
-            innermost[v] = chain[-1].name
-    children: dict[str | None, list[str]] = {}
-    for p in m.plates:
-        children.setdefault(p.parent, []).append(p.name)
 
     def node_line(v: str, pad: str) -> str:
         a = g.attr(v)
@@ -533,30 +501,27 @@ def emit_model(m: Union[PlateModel, ChainGraph], name: str | None = None) -> str
         dom = f" [{a.domain_size}]" if a.domain_size != 2 else ""
         return f"{pad}{' '.join(words)}{dom};"
 
-    emitted: set[str] = set()
-
-    def emit_plate(name_: str, indent: int) -> None:
-        pad = "    " * indent
-        p = m.plate(name_)
-        lines.append(f"{pad}plate {p.name} [{p.symbol}] {{")
-        for v in g.node_names:
-            if innermost.get(v) == name_:
-                lines.append(node_line(v, pad + "    "))
-                emitted.add(v)
-        for child in children.get(name_, []):
-            emit_plate(child, indent + 1)
-        lines.append(f"{pad}}}")
+    def open_plate(root: Plate) -> None:
+        for d, item in m.walk(root):
+            pad = "    " * (d + 1)
+            if isinstance(item, Plate):
+                lines.append(f"{pad}plate {item.name} [{item.symbol}] {{")
+            elif item is None:
+                lines.append(f"{pad}}}")
+            else:
+                lines.append(node_line(item, pad))
 
     opened: set[str] = set()
     for v in g.node_names:
-        if v in innermost:
-            root = m.membership(v)[0].name
-            if root not in opened:
-                opened.add(root)
-                emit_plate(root, 1)
-        elif v not in emitted:
+        chain = m.membership(v)
+        if not chain:
             lines.append(node_line(v, "    "))
-            emitted.add(v)
+        elif chain[0].name not in opened:
+            opened.add(chain[0].name)
+            open_plate(chain[0])
+    for root in m.children(None):
+        if root.name not in opened:
+            open_plate(root)
     for e in g.edges:
         op = "->" if e.directed else "--"
         lines.append(f"    {e.u} {op} {e.v};")

@@ -16,15 +16,15 @@ plate product takes the place of the first term inside it.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping, Sequence, Union
 
-from .core import ChainGraph, Edge, NodeAttr, ValidationReport, Violation
+from .core import ChainGraph, Edge, NodeAttr, StateSpaceError, ValidationReport, Violation
 from .factorize import (
     FactorError,
     FactorExpression,
-    FactorTerm,
     Item,
     PlateProduct,
     _block_terms,
@@ -41,6 +41,12 @@ Binding = Mapping[str, Union[int, Sequence[int]]]
 
 _INDEX_LETTERS = "ijklmn"
 
+# one index suffix of an expansion copy's name (indices start at 1)
+_COPY_SUFFIX = re.compile(r"_[1-9][0-9]*\Z")
+
+# nodes plus edges of the largest ground graph `expand` builds
+MAX_GROUND_SIZE = 1_000_000
+
 
 @dataclass(frozen=True)
 class Plate:
@@ -55,47 +61,94 @@ class Plate:
 
 @dataclass(frozen=True)
 class PlateModel:
+    """A chain graph with plates.  The plates must form a forest: every
+    parent names a plate of the model and no plate nests in itself, which
+    construction checks.  The nesting is indexed once, here, and every plate
+    consumer reads it."""
+
     graph: ChainGraph
     plates: tuple[Plate, ...] = ()
     name: str = "model"
+    _paths: dict[str, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
+    _children: dict[str | None, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
+    _membership: dict[str, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
+    _innermost: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [p.name for p in self.plates]
-        if len(set(names)) != len(names):
+        names = {p.name for p in self.plates}
+        if len(names) != len(self.plates):
             raise PlateError("duplicate plate name")
+        children: dict[str | None, list[Plate]] = {}
+        for p in self.plates:
+            if p.parent is not None and p.parent not in names:
+                raise PlateError(f"plate {p.name!r} nests in unknown plate {p.parent!r}")
+            children.setdefault(p.parent, []).append(p)
+        # paths grow down from the top-level plates; one they never reach
+        # nests in a cycle
+        paths: dict[str, tuple[Plate, ...]] = {}
+        grow: list[tuple[Plate, ...]] = [()]
+        while grow:
+            path = grow.pop()
+            for c in children.get(path[-1].name if path else None, ()):
+                paths[c.name] = path + (c,)
+                grow.append(paths[c.name])
+        for p in self.plates:
+            if p.name not in paths:
+                raise PlateError(f"plate {p.name!r} nests in a cycle")
+
+        membership: dict[str, list[Plate]] = {}
+        for p in sorted(self.plates, key=lambda p: len(paths[p.name])):  # stable: depth, then declaration
+            for v in p.members:
+                membership.setdefault(v, []).append(p)
+        innermost: dict[str, list[str]] = {p.name: [] for p in self.plates}
+        for v in self.graph.sorted_nodes(v for v in membership if v in self.graph):
+            innermost[membership[v][-1].name].append(v)
+
+        object.__setattr__(self, "_paths", paths)
+        object.__setattr__(self, "_children", {k: tuple(ps) for k, ps in children.items()})
+        object.__setattr__(self, "_membership", {v: tuple(ps) for v, ps in membership.items()})
+        object.__setattr__(self, "_innermost", {k: tuple(vs) for k, vs in innermost.items()})
 
     def plate(self, name: str) -> Plate:
-        for p in self.plates:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self._paths[name][-1]
+
+    def path(self, p: Plate) -> tuple[Plate, ...]:
+        """p and the plates around it, outermost first."""
+        return self._paths[p.name]
 
     def depth(self, p: Plate) -> int:
-        d, seen = 0, {p.name}
-        while p.parent is not None:
-            p = self.plate(p.parent)
-            if p.name in seen:  # defensive; validate_plates reports this
-                raise PlateError(f"plate nesting cycle at {p.name!r}")
-            seen.add(p.name)
-            d += 1
-        return d
+        return len(self._paths[p.name]) - 1
+
+    def children(self, p: Plate | None) -> tuple[Plate, ...]:
+        """Plates nested directly in p (for None, the top-level plates), in
+        declaration order."""
+        return self._children.get(None if p is None else p.name, ())
 
     def membership(self, v: str) -> tuple[Plate, ...]:
         """Plates containing v, outermost first (depth, then declaration)."""
-        ps = [p for p in self.plates if v in p.members]
-        order = {p.name: i for i, p in enumerate(self.plates)}
-        return tuple(sorted(ps, key=lambda p: (self.depth(p), order[p.name])))
+        return self._membership.get(v, ())
+
+    def walk(self, p: Plate) -> Iterator[tuple[int, Plate | str | None]]:
+        """Pre-order walk of p's subtree, each item tagged with its depth:
+        ``(d, p)`` where p has depth d, then ``(d + 1, v)`` for each node v
+        whose innermost plate is p, in declaration order, then the walks of
+        p's nested plates, then ``(d, None)`` to close p."""
+        stack: list[tuple[int, Plate | None]] = [(self.depth(p), p)]
+        while stack:
+            d, q = stack.pop()
+            yield d, q
+            if q is not None:
+                yield from ((d + 1, v) for v in self._innermost[q.name])
+                stack.append((d, None))
+                stack += [(d + 1, c) for c in reversed(self.children(q))]
 
 
 def validate_plates(m: PlateModel) -> ValidationReport:
     errors: list[Violation] = []
     g = m.graph
-    names = {p.name for p in m.plates}
     symbols: dict[str, str] = {}
 
     for p in m.plates:
-        if p.parent is not None and p.parent not in names:
-            errors.append(Violation("plate-parent", f"plate {p.name!r} nests in unknown plate {p.parent!r}"))
         if p.symbol in symbols:
             errors.append(
                 Violation(
@@ -108,18 +161,7 @@ def validate_plates(m: PlateModel) -> ValidationReport:
             if v not in g:
                 errors.append(Violation("plate-member", f"plate {p.name!r} lists unknown node {v!r}", (v,)))
 
-    # nesting must be a forest
-    for p in m.plates:
-        seen = {p.name}
-        q: Plate | None = p
-        while q is not None and q.parent in names:
-            q = m.plate(q.parent)  # type: ignore[arg-type]
-            if q.name in seen:
-                errors.append(Violation("plate-nesting", f"plate nesting cycle through {q.name!r}"))
-                break
-            seen.add(q.name)
-
-    if errors:  # membership/boundary checks assume a sane forest
+    if errors:  # membership/boundary checks assume sane declarations
         return ValidationReport(errors, [])
 
     # a node inside an inner plate must also be inside every enclosing plate
@@ -160,20 +202,19 @@ def validate_plates(m: PlateModel) -> ValidationReport:
                 )
             )
 
-    # declared names that look like expansion copies of a plated node
-    for v in g.node_names:
-        if not member_sets[v]:
-            continue
-        pat = re.compile(re.escape(v) + r"(?:_[1-9][0-9]*)+\Z")
-        for w in g.node_names:
-            if w != v and pat.fullmatch(w):
-                errors.append(
-                    Violation(
-                        "plate-collision",
-                        f"node {w!r} collides with expansion copies of plated node {v!r}",
-                        (v, w),
-                    )
-                )
+    # declared names that look like expansion copies of a plated node: strip
+    # index suffixes off each name, one at a time, and look the stems up
+    clashes: list[tuple[int, int, str, str]] = []
+    for j, w in enumerate(member_sets):
+        stem = w
+        while (cut := _COPY_SUFFIX.search(stem)) is not None:
+            stem = stem[: cut.start()]
+            if member_sets.get(stem):
+                clashes.append((g.index(stem), j, stem, w))
+    for _, _, v, w in sorted(clashes):
+        errors.append(
+            Violation("plate-collision", f"node {w!r} collides with expansion copies of plated node {v!r}", (v, w))
+        )
     return ValidationReport(errors, [])
 
 
@@ -213,21 +254,20 @@ def _cardinality(m: PlateModel, p: Plate, b: Binding, ctx: Mapping[str, int]) ->
     return n
 
 
-def _index_tuples(m: PlateModel, chain: tuple[Plate, ...], b: Binding) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+def _index_tuples(m: PlateModel, chain: tuple[Plate, ...], b: Binding) -> Iterator[tuple[int, ...]]:
+    """The index tuples over the plates of chain, in lexicographic order."""
 
-    def rec(pos: int, ctx: dict[str, int], acc: tuple[int, ...]) -> None:
+    def rec(pos: int, ctx: dict[str, int], acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if pos == len(chain):
-            out.append(acc)
+            yield acc
             return
         p = chain[pos]
         for i in range(1, _cardinality(m, p, b, ctx) + 1):
             ctx[p.name] = i
-            rec(pos + 1, ctx, acc + (i,))
+            yield from rec(pos + 1, ctx, acc + (i,))
             del ctx[p.name]
 
-    rec(0, {}, ())
-    return out
+    return rec(0, {}, ())
 
 
 def indval(m: PlateModel, v: str, b: Binding) -> set[tuple[int, ...]]:
@@ -242,19 +282,43 @@ def _ground_name(base: str, t: tuple[int, ...]) -> str:
     return base if not t else base + "_" + "_".join(str(i) for i in t)
 
 
+def _copies(m: PlateModel, chain: tuple[Plate, ...], b: Binding) -> int:
+    """How many tuples ``_index_tuples(m, chain, b)`` yields, or some number
+    over MAX_GROUND_SIZE.  Only the indices of the plates before the last
+    one bound to a list are listed; from there on the counts multiply."""
+    last = max((k for k, p in enumerate(chain) if not isinstance(b.get(p.symbol), int)), default=0)
+    n = 0
+    for t in _index_tuples(m, chain[:last], b):
+        ctx = {p.name: i for p, i in zip(chain, t)}
+        n += math.prod(_cardinality(m, p, b, ctx) for p in chain[last:])
+        if n > MAX_GROUND_SIZE:
+            break
+    return n
+
+
+def _ground_size(m: PlateModel, b: Binding) -> int:
+    """Nodes plus edges of ``expand(m, b)``, from the binding alone."""
+    copies = {v: _copies(m, m.membership(v), b) for v in m.graph.node_names}
+    # an arc's tail sits in a subset of its head's plates (validate_plates),
+    # so each copy of the head gets exactly one copy of the edge
+    return sum(copies.values()) + sum(copies[e.v] for e in m.graph.edges)
+
+
 def expand(m: PlateModel, b: Binding) -> ChainGraph:
     """Ground chain graph: one copy of each node per index tuple, arcs
     replicated so endpoint copies agree on every shared plate."""
     _require_valid(m)
+    size = _ground_size(m, b)
+    if size > MAX_GROUND_SIZE:
+        raise StateSpaceError(f"ground graph has {size} nodes and edges, over the limit of {MAX_GROUND_SIZE}")
     g = m.graph
-    chains = {v: m.membership(v) for v in g.node_names}
-    tuples = {v: _index_tuples(m, chains[v], b) for v in g.node_names}
+    tuples = {v: list(_index_tuples(m, m.membership(v), b)) for v in g.node_names}
+    names = {v: [_ground_name(v, t) for t in ts] for v, ts in tuples.items()}
 
     attrs: dict[str, NodeAttr] = {}
     origin: dict[str, str] = {}
-    for v in g.node_names:
-        for t in tuples[v]:
-            name = _ground_name(v, t)
+    for v, copies in names.items():
+        for name in copies:
             if name in attrs:
                 raise PlateError(f"expansion name clash: {name!r} (from {origin[name]!r} and {v!r})")
             attrs[name] = g.attr(v)
@@ -262,13 +326,16 @@ def expand(m: PlateModel, b: Binding) -> ChainGraph:
 
     edges: list[Edge] = []
     for e in g.edges:
-        pu = {p.name: k for k, p in enumerate(chains[e.u])}
-        pv = {p.name: k for k, p in enumerate(chains[e.v])}
-        shared = [(pu[n], pv[n]) for n in pu if n in pv]
-        for tu in tuples[e.u]:
-            for tv in tuples[e.v]:
-                if all(tu[a] == tv[bz] for a, bz in shared):
-                    edges.append(Edge(_ground_name(e.u, tu), _ground_name(e.v, tv), e.directed))
+        pv = {p.name: k for k, p in enumerate(m.membership(e.v))}
+        shared = [(k, pv[p.name]) for k, p in enumerate(m.membership(e.u)) if p.name in pv]
+        # copies of v grouped by their indices on the plates u shares; each
+        # copy of u takes its group, in the order of an all-pairs loop
+        group: dict[tuple[int, ...], list[str]] = {}
+        for tv, name in zip(tuples[e.v], names[e.v]):
+            group.setdefault(tuple(tv[k] for _, k in shared), []).append(name)
+        for tu, name in zip(tuples[e.u], names[e.u]):
+            for w in group.get(tuple(tu[k] for k, _ in shared), ()):
+                edges.append(Edge(name, w, e.directed))
     return ChainGraph(attrs, edges)
 
 
@@ -280,70 +347,50 @@ def _plate_letter(depth: int) -> str:
 
 
 def _suffix(m: PlateModel, v: str) -> str:
-    chain = m.membership(v)
-    return _ground_name(v, ()) if not chain else v + "".join(
-        "_" + _plate_letter(m.depth(p)) for p in chain
-    )
+    return v + "".join("_" + _plate_letter(k) for k in range(len(m.membership(v))))
 
 
 def _index_set_label(m: PlateModel, p: Plate) -> str:
-    args = []
-    q = p
-    while q.parent is not None:
-        q = m.plate(q.parent)
-        args.append(_plate_letter(m.depth(q)))
-    if not args:
-        return p.symbol
-    return f"{p.symbol}({','.join(reversed(args))})"
+    d = m.depth(p)
+    return f"{p.symbol}({','.join(_plate_letter(k) for k in range(d))})" if d else p.symbol
 
 
 def _symbolic_expression(m: PlateModel) -> FactorExpression:
     g = m.graph
-    chains = {v: m.membership(v) for v in g.node_names}
-    for v, chain in chains.items():
-        depths = [m.depth(p) for p in chain]
-        if sorted(set(depths)) != list(range(len(chain))):
+    for v in g.node_names:
+        chain = m.membership(v)
+        if chain and chain != m.path(chain[-1]):
             raise FactorError(
                 f"node {v!r} sits in overlapping plates; no nested product form exists — bind the plates instead"
             )
     rename = {v: _suffix(m, v) for v in g.node_names}
 
-    # each term with its block's plate chain (undirected edges never cross
-    # a plate boundary, so a block's members share one) and its emission
-    # position, which orders the terms as their blocks are ordered
-    placed: list[tuple[tuple[Plate, ...], int, FactorTerm]] = []
+    # each term goes to its block's innermost plate (undirected edges never
+    # cross a plate boundary, so a block's members share their plates), keyed
+    # by its emission position, which orders the terms as their blocks are
+    placed: dict[str | None, list[tuple[int, Item]]] = {}
     for pos, (sub, t) in enumerate(_block_terms(g)):
-        chain = chains[next(iter(sub.own_nodes))]
+        chain = m.membership(next(iter(sub.own_nodes)))
         renamed = replace(
             t, head=tuple(rename[v] for v in t.head), given=tuple(rename[v] for v in t.given)
         )
-        placed.append((chain, pos, renamed))
+        placed.setdefault(chain[-1].name if chain else None, []).append((pos, renamed))
 
-    plate_order = {p.name: i for i, p in enumerate(m.plates)}
-
-    def build(prefix: tuple[Plate, ...]) -> tuple[list[tuple[int, Item]], int]:
-        """Items whose plate chain extends ``prefix``, keyed for ordering."""
-        keyed: list[tuple[int, Item]] = []
-        for chain, pos, t in placed:
-            if chain == prefix:
-                keyed.append((pos, t))
-        children = sorted(
-            {chain[len(prefix)].name for chain, _, _ in placed if chain[: len(prefix)] == prefix and len(chain) > len(prefix)},
-            key=lambda n: plate_order[n],
-        )
-        for name in children:
-            p = m.plate(name)
-            inner, first = build(prefix + (p,))
-            keyed.append(
-                (first, PlateProduct(_plate_letter(m.depth(p)), _index_set_label(m, p), tuple(it for _, it in inner)))
-            )
+    def build(p: Plate | None) -> list[tuple[int, Item]]:
+        """The terms in p and a product for each nested plate that holds
+        any, keyed by the first emission position inside them."""
+        keyed = list(placed.get(p.name if p is not None else None, ()))
+        for c in m.children(p):
+            inner = build(c)
+            if inner:
+                items = tuple(it for _, it in inner)
+                keyed.append((inner[0][0], PlateProduct(_plate_letter(m.depth(c)), _index_set_label(m, c), items)))
         keyed.sort(key=lambda kv: kv[0])
-        return keyed, min((k for k, _ in keyed), default=0)
+        return keyed
 
-    items, _ = build(())
     meta = _metadata(g)
     return FactorExpression(
-        items=tuple(it for _, it in items),
+        items=tuple(it for _, it in build(None)),
         free_vars=frozenset(rename[v] for v in meta["free_vars"]),
         given_vars=frozenset(rename[v] for v in meta["given_vars"]),
         order=tuple(rename[v] for v in meta["order"]),

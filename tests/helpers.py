@@ -13,7 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from chaingraph import ChainGraph, Edge, NodeAttr
+from chaingraph import ChainGraph, Edge, NodeAttr, indval
 
 
 def _load_benchmark_reference():
@@ -245,3 +245,51 @@ def same_graph(g1: ChainGraph, g2: ChainGraph, check_attrs: bool = True) -> bool
     if check_attrs and g1.attrs() != g2.attrs():
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# plate references: the quadratic loops that `expand` and `validate_plates`
+# replaced
+
+
+def expand_all_pairs(m, b) -> tuple[list[str], list[Edge]]:
+    """Ground node names and edge sequence of ``expand(m, b)``, found by
+    testing every pair of endpoint copies on the plates they share."""
+    by_name = {p.name: p for p in m.plates}
+    order = {p.name: i for i, p in enumerate(m.plates)}
+
+    def depth(p) -> int:
+        d = 0
+        while p.parent is not None:
+            p, d = by_name[p.parent], d + 1
+        return d
+
+    def chain(v) -> list:
+        return sorted((p for p in m.plates if v in p.members), key=lambda p: (depth(p), order[p.name]))
+
+    def name(v, t) -> str:
+        return v + "".join(f"_{i}" for i in t)
+
+    tuples = {v: sorted(indval(m, v, b)) for v in m.graph.node_names}
+    nodes = [name(v, t) for v in m.graph.node_names for t in tuples[v]]
+    edges = []
+    for e in m.graph.edges:
+        cu, cv = chain(e.u), chain(e.v)
+        shared = [(cu.index(p), cv.index(p)) for p in cu if p in cv]
+        for tu in tuples[e.u]:
+            for tv in tuples[e.v]:
+                if all(tu[i] == tv[j] for i, j in shared):
+                    edges.append(Edge(name(e.u, tu), name(e.v, tv), e.directed))
+    return nodes, edges
+
+
+def plate_collisions_by_regex(m) -> list[tuple[str, str]]:
+    """(plated node, clashing name) pairs, in declaration order: one pattern
+    of expansion-copy names per plated node, matched against every name."""
+    names = m.graph.node_names
+    out = []
+    for v in names:
+        if any(v in p.members for p in m.plates):
+            pat = re.compile(re.escape(v) + r"(?:_[1-9][0-9]*)+\Z")
+            out += [(v, w) for w in names if w != v and pat.fullmatch(w)]
+    return out

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,17 @@ def test_resource_errors_exit_3():
     code, _, err = invoke("oracle", cg("coin"), "--bind", "N=10")
     assert code == 3
     assert "has 11 nodes, over the limit of 10" in err
+
+
+@pytest.mark.parametrize(
+    "command", [("expand",), ("factorize",), ("query", "--ci", "theta _||_ heads_1"), ("oracle",)]
+)
+def test_ground_size_guard_exits_3_before_building(command):
+    start = time.perf_counter()
+    code, out, err = invoke(command[0], cg("coin"), *command[1:], "--bind", "N=1000000000")
+    assert (code, out) == (3, "")
+    assert err == "error: ground graph has 2000000001 nodes and edges, over the limit of 1000000\n"
+    assert time.perf_counter() - start < 1
 
 
 def test_non_ascii_numeral_is_a_diagnostic(tmp_path):

@@ -39,6 +39,7 @@ COMMANDS = (
 EXTRA = (
     ("coin", "factorize", "--bind", "N=3"),
     ("coin", "expand", "--bind", "N=3"),
+    ("coin", "expand", "--bind", "N=1000000000"),
     ("banks", "factorize", "--bind", "Banks=2", "--bind", "Prices=2,3"),
     ("banks", "expand", "--bind", "Banks=2", "--bind", "Prices=2,3"),
     ("fig2", "query", "--ci", "a _||_ e | b,c"),

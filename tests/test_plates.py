@@ -1,22 +1,28 @@
+import random
+
 import pytest
 
 from chaingraph import (
     ChainGraph,
+    Edge,
     FactorError,
     NodeAttr,
     Plate,
     PlateError,
     PlateModel,
+    StateSpaceError,
     directed,
     expand,
     factorize_chain,
     factorize_plated,
     indval,
+    parse_model,
     render,
     undirected,
     validate_plates,
 )
-from helpers import same_graph
+from chaingraph.plates import _ground_size
+from helpers import expand_all_pairs, plate_collisions_by_regex, same_graph
 
 
 def plate_model(nodes, edges, plates, **kw):
@@ -36,8 +42,8 @@ def test_valid_corpus_plate_models(models):
 
 
 def test_unknown_parent_and_member():
-    m = plate_model("ab", [], [Plate("P", "N", frozenset("a"), parent="ghost")])
-    assert "plate-parent" in violation_kinds(m)
+    with pytest.raises(PlateError, match="plate 'P' nests in unknown plate 'ghost'"):
+        plate_model("ab", [], [Plate("P", "N", frozenset("a"), parent="ghost")])
     m2 = plate_model("ab", [], [Plate("P", "N", frozenset("az"))])
     assert violation_kinds(m2) == ["plate-member"]
 
@@ -57,15 +63,20 @@ def test_duplicate_symbol():
 
 
 def test_nesting_cycle():
-    m = plate_model(
-        "ab",
-        [],
-        [
-            Plate("P", "N", frozenset("a"), parent="Q"),
-            Plate("Q", "M", frozenset("a"), parent="P"),
-        ],
-    )
-    assert "plate-nesting" in violation_kinds(m)
+    with pytest.raises(PlateError, match="plate 'P' nests in a cycle"):
+        plate_model(
+            "ab",
+            [],
+            [
+                Plate("P", "N", frozenset("a"), parent="Q"),
+                Plate("Q", "M", frozenset("a"), parent="P"),
+            ],
+        )
+    with pytest.raises(PlateError, match="plate 'R' nests in a cycle"):
+        plate_model("a", [], [Plate("R", "N", frozenset("a"), parent="R")])
+    # S sits below the cycle without being on it
+    with pytest.raises(PlateError, match="plate 'S' nests in a cycle"):
+        plate_model("a", [], [Plate("S", "K", frozenset("a"), parent="R"), Plate("R", "N", frozenset("a"), parent="R")])
 
 
 def test_membership_consistency():
@@ -119,6 +130,25 @@ def test_collision_requires_all_numeric_suffixes():
         [Plate("P", "N", frozenset(["x"]))],
     )
     assert validate_plates(m).ok
+
+
+def test_collision_check_matches_regex_reference():
+    rng = random.Random(3)
+    stems = ["x", "x_1", "y", "y_", "z_2"]
+    suffixes = ["_1", "_0", "_1_2", "_01", "_x", "_12", "_3_4"]
+    found = 0
+    for _ in range(300):
+        names = rng.sample(stems, rng.randint(1, len(stems)))
+        while len(names) < 12:
+            w = rng.choice(stems) + "".join(rng.choices(suffixes, k=rng.randint(1, 3)))
+            if w not in names:
+                names.append(w)
+        rng.shuffle(names)
+        m = plate_model(names, [], [Plate("P", "N", frozenset(rng.sample(names, rng.randint(1, 4))))])
+        want = plate_collisions_by_regex(m)
+        assert [v.nodes for v in validate_plates(m).errors] == want
+        found += len(want)
+    assert found
 
 
 # -- indval and expansion ----------------------------------------------------------
@@ -198,6 +228,81 @@ def test_collision_check_covers_plated_lookalikes():
     assert violation_kinds(m) == ["plate-collision"]
     with pytest.raises(PlateError, match="collides"):
         expand(m, {"N": 2})
+
+
+def random_plated_model(rng):
+    """Up to five plates nested at most three deep; each node sits in up to
+    two plates and all plates around them, so sibling plates may share a
+    node; arcs point into deeper plate sets and undirected edges stay in
+    one.  An inner plate is bound to a list (ragged) half of the time."""
+    parent_of, depth = {}, {}
+    for k in range(rng.randint(1, 5)):
+        parent = rng.choice([None] + [q for q in parent_of if depth[q] < 2])
+        parent_of[f"P{k}"] = parent
+        depth[f"P{k}"] = 0 if parent is None else depth[parent] + 1
+
+    def enclosed(ps):
+        out = set()
+        for p in ps:
+            while p is not None:
+                out.add(p)
+                p = parent_of[p]
+        return frozenset(out)
+
+    names = [f"v{i}" for i in range(rng.randint(2, 8))]
+    sets = {v: enclosed(rng.sample(sorted(parent_of), rng.randint(0, min(2, len(parent_of))))) for v in names}
+    edges = []
+    for i, u in enumerate(names):
+        for v in names[i + 1 :]:
+            if rng.random() < 0.5:
+                if sets[u] == sets[v]:
+                    edges.append(Edge(u, v, rng.random() < 0.5))
+                elif sets[u] < sets[v]:
+                    edges.append(Edge(u, v, True))
+                elif sets[v] < sets[u]:
+                    edges.append(Edge(v, u, True))
+    ps = [Plate(p, "N" + p[1:], frozenset(v for v in names if p in sets[v]), q) for p, q in parent_of.items()]
+    b = {}
+    for p, q in parent_of.items():
+        outer = b.get("N" + q[1:]) if q is not None else None
+        if outer is None or rng.random() < 0.5:
+            b["N" + p[1:]] = rng.randint(1, 3)
+        else:
+            size = outer if isinstance(outer, int) else max(outer)
+            b["N" + p[1:]] = [rng.randint(1, 3) for _ in range(size)]
+    return plate_model(names, edges, ps), b
+
+
+def test_expand_matches_all_pairs_reference():
+    rng = random.Random(11)
+    seen = {"deep": 0, "ragged": 0, "overlap": 0}
+    for _ in range(300):
+        m, b = random_plated_model(rng)
+        assert validate_plates(m).ok
+        g = expand(m, b)
+        nodes, edges = expand_all_pairs(m, b)
+        assert list(g.node_names) == nodes
+        assert g.edges == tuple(edges)
+        assert _ground_size(m, b) == len(nodes) + len(edges)
+        seen["deep"] += any(m.depth(p) == 2 and p.members for p in m.plates)
+        seen["ragged"] += any(isinstance(n, list) for n in b.values()) and bool(edges)
+        chains = [m.membership(v) for v in m.graph.node_names]
+        seen["overlap"] += any(c and c != m.path(c[-1]) for c in chains)
+    assert all(seen.values()), seen
+
+
+def test_ground_size_is_checked_before_expansion(monkeypatch):
+    monkeypatch.setattr("chaingraph.plates.MAX_GROUND_SIZE", 7)
+    coin = parse_model("model c { node theta; plate p [N] { node heads; } theta -> heads; }")
+    assert len(expand(coin, {"N": 3})) == 4  # 4 nodes and 3 edges
+    with pytest.raises(StateSpaceError, match="ground graph has 9 nodes and edges, over the limit of 7"):
+        expand(coin, {"N": 4})
+    # a ragged plate inside a ragged plate is counted index by index, and the
+    # count stops once it is over the limit: K has entries for only 20 of
+    # M's 10^9 indices
+    ragged = parse_model("model r { plate p [N] { plate q [M] { plate r [K] { node x; } } } }")
+    with pytest.raises(StateSpaceError, match="over the limit of 7"):
+        expand(ragged, {"N": 1, "M": [10**9], "K": [1] * 20})
 
 
 def test_expand_requires_valid_model():
