@@ -44,6 +44,8 @@ EXTRA = (
     ("banks", "expand", "--bind", "Banks=2", "--bind", "Prices=2,3"),
     ("fig2", "query", "--ci", "a _||_ e | b,c"),
     ("boltzmann", "factorize", "--condition", "o"),
+    ("fig1a", "oracle", "--trials", "3", "--json"),
+    ("coin", "oracle", "--bind", "N=3", "--trials", "3", "--json"),
 )
 
 # name -> source; each is recorded through ``validate``
