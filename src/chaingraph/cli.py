@@ -240,6 +240,10 @@ def _dispatch(ns, err) -> list[str] | None:
         return to_dot(m).splitlines()
 
     if ns.command == "oracle":
+        if ns.trials < 1:
+            raise _UsageError(f"--trials must be at least 1, got {ns.trials}")
+        if not 0.0 <= ns.tol < float("inf"):
+            raise _UsageError(f"--tol must be a finite number >= 0, got {ns.tol:g}")
         from .oracle import check_global_markov  # numpy is only loaded here
 
         target = _graph_for_query(m, bind, "oracle")

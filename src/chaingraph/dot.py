@@ -32,7 +32,7 @@ def _node_stmt(g: ChainGraph, name: str) -> str:
 def to_dot(m: Union[PlateModel, ChainGraph]) -> str:
     """DOT text for a graph or plate model; deterministic for a given input."""
     if isinstance(m, ChainGraph):
-        m = PlateModel(m, (), name="G")
+        m = PlateModel(m)
     g = m.graph
 
     lines: list[str] = [f"digraph {_q(m.name)} {{", "    node [shape=ellipse];"]

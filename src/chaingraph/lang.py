@@ -487,11 +487,20 @@ def emit_model(m: Union[PlateModel, ChainGraph], name: str | None = None) -> str
     Nodes keep their declaration order except that a plate's members are
     grouped into its block (they are contiguous for any parsed model): a
     top-level plate opens at its first member, and one with no member
-    node opens after the unplated nodes.
+    node opens after the unplated nodes.  A node in two plates that do not
+    nest (which `validate_plates` accepts) has no text: PlateError.
     """
     if isinstance(m, ChainGraph):
-        m = PlateModel(m, (), name=name or "G")
+        m = PlateModel(m)
     g = m.graph
+    for v in g.node_names:
+        chain = m.membership(v)
+        apart = [p.name for p in chain if p not in m.path(chain[-1])] if chain else []
+        if apart:
+            raise PlateError(
+                f"node {v!r} is in plates {apart[0]!r} and {chain[-1].name!r}, which do not nest;"
+                " .cg text cannot place it in both"
+            )
     lines: list[str] = [f"model {name or m.name} {{"]
 
     def node_line(v: str, pad: str) -> str:

@@ -11,7 +11,7 @@ graph-level answer be confirmed or refuted numerically:
   up numerically are only warned about, since random tables need not be
   faithful.  The trials are scored together: their joints are stacked on
   a leading axis, and each set of query nodes takes one marginal of the
-  stack, shared by every query over those nodes.
+  stack, on which one kernel scores every query over those nodes.
 * `check_equivalence` instantiates two expressions with shared tables for
   designated terms and compares the conditional (or a marginal) they
   represent.
@@ -229,34 +229,72 @@ def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
     return JointTable(order, arr / s)
 
 
-def _ci_deviations(stack: np.ndarray, vars_: tuple[str, ...], q: CiQuery) -> np.ndarray:
-    """`ci_deviation` of every table in a stack: the leading axis counts the
-    tables (trials), the other axes follow ``vars_``."""
-    missing = (q.a | q.b | q.s) - set(vars_)
-    if missing:
-        raise OracleError(f"query variables {sorted(missing)} not in joint")
-    a = tuple(sorted(q.a, key=vars_.index))
-    b = tuple(sorted(q.b, key=vars_.index))
-    s = tuple(sorted(q.s, key=vars_.index))
-    m_vars, m = _marginal(stack, vars_, a + b + s)
-    arr = np.transpose(m, [0] + [1 + m_vars.index(v) for v in a + b + s])
-    t = arr.shape[0]
-    na = math.prod(arr.shape[1 : 1 + len(a)])
-    nb = math.prod(arr.shape[1 + len(a) : 1 + len(a) + len(b)])
-    ns = math.prod(arr.shape[1 + len(a) + len(b) :])
-    p = arr.reshape(t, na, nb, ns)
-    ps = p.sum(axis=(1, 2))[:, None, None, :]
-    pas = p.sum(axis=2)[:, :, None, :]
-    pbs = p.sum(axis=1)[:, None, :, :]
+def _ci_deviations(m: np.ndarray, m_vars: tuple[str, ...], queries: Sequence[CiQuery]) -> np.ndarray:
+    """Each query's `ci_deviation`, at its largest over a stack of marginals.
+
+    The leading axis of ``m`` counts the tables (trials), the other axes
+    follow ``m_vars``, and every query mentions exactly the nodes of
+    ``m_vars``.  Each query views ``m`` as (trials, A, B, S).  The queries
+    whose views share a shape are scored together by `_block_deviations`,
+    in blocks of as many as fit in ``MAX_JOINT_CONFIGS >> 7`` entries (at
+    least one query each).
+    """
+    budget = MAX_JOINT_CONFIGS >> 7
+    pos = {v: i for i, v in enumerate(m_vars)}
+    t, dims = m.shape[0], m.shape[1:]
+    buckets: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+    for k, q in enumerate(queries):
+        a, b, s = (sorted(pos[v] for v in x) for x in (q.a, q.b, q.s))
+        shape = (t, *(math.prod(dims[i] for i in x) for x in (a, b, s)))
+        buckets.setdefault(shape, []).append((k, [0] + [1 + i for i in a + b + s]))
+    out = np.zeros(len(queries))
+    for shape, members in buckets.items():
+        per = max(1, budget // math.prod(shape))
+        for start in range(0, len(members), per):
+            ks, perms = zip(*members[start : start + per])
+            # a reshape may copy, so a block's views are made only when it is scored
+            out[list(ks)] = _block_deviations([m.transpose(perm).reshape(shape) for perm in perms])
+    return out
+
+
+def _block_deviations(views: Sequence[np.ndarray]) -> np.ndarray:
+    """max over trials and S-configs with p(S)>0 of |p(A,B|S) - p(A|S) p(B|S)|
+    for each of the same-shaped (trials, A, B, S) views, scored together.
+
+    The views are copied into one block, and every step after the copy is
+    one numpy call over the block, done in place.  p(S) is summed from each
+    query's own view: numpy's order for that sum over A and B follows the
+    memory layout, and summing the block would change the last bit of some
+    deviations.  p(A,S) and p(B,S) are summed from the block; that is the
+    same arithmetic for A and B of fewer than 8 states, which numpy adds in
+    index order whatever the layout.
+    """
+    t, na, nb, ns = views[0].shape
+    p = np.empty((len(views), t, na, nb, ns))
+    ps = np.empty((len(views), t, 1, 1, ns))
+    for i, view in enumerate(views):
+        p[i] = view
+        view.sum(axis=(1, 2), out=ps[i, :, 0, 0])
+    pas = p.sum(axis=3, keepdims=True)
+    pbs = p.sum(axis=2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.abs(p / ps - (pas / ps) * (pbs / ps))
-    dev = np.where(ps > 0.0, dev, 0.0)
-    return dev.reshape(t, -1).max(axis=1, initial=0.0)
+        np.divide(p, ps, out=p)
+        np.divide(pas, ps, out=pas)
+        np.divide(pbs, ps, out=pbs)
+        np.subtract(p, pas * pbs, out=p)
+    np.abs(p, out=p)
+    np.copyto(p, 0.0, where=ps <= 0.0)
+    return p.reshape(len(views), -1).max(axis=1, initial=0.0)
 
 
 def ci_deviation(j: JointTable, q: CiQuery) -> float:
     """max over S-configs with p(S)>0 of max |p(A,B|S) - p(A|S) p(B|S)|."""
-    return float(_ci_deviations(j.table[None], j.vars, q)[0])
+    nodes = q.a | q.b | q.s
+    missing = nodes - set(j.vars)
+    if missing:
+        raise OracleError(f"query variables {sorted(missing)} not in joint")
+    m_vars, m = _marginal(j.table[None], j.vars, nodes)
+    return float(_ci_deviations(m, m_vars, [q])[0])
 
 
 def conditional_deviation(
@@ -366,8 +404,11 @@ def check_global_markov(
     Each trial draws its own tables; a query's deviation is its largest over
     the trials.  The trials' joints are stacked in chunks of at most
     ``MAX_JOINT_CONFIGS`` entries, and the queries are grouped by the nodes
-    they mention: per group and chunk one marginal is taken, which
-    `_ci_deviations` scores for every query of the group and every trial.
+    they mention: per group and chunk one marginal is taken, and
+    `_ci_deviations` scores all of the group's queries on it at once.  It
+    copies same-shaped (trials, A, B, S) views of the marginal into stacked
+    blocks of at most ``MAX_JOINT_CONFIGS >> 7`` entries, so each numpy step
+    of the deviation runs once per block, not once per query.
     Whether the graph implies a query is `implies_ci`'s answer.
     """
     if len(g.node_names) > MAX_MARKOV_NODES:
@@ -394,8 +435,7 @@ def check_global_markov(
             stack[i] = build_joint(e, assignment_from_rng(e, np.random.default_rng(seq))).table
         for nodes, ks in groups.items():
             m_vars, m = _marginal(stack, order, nodes)
-            for k in ks:
-                max_dev[k] = max(max_dev[k], _ci_deviations(m, m_vars, queries[k]).max())
+            max_dev[ks] = np.maximum(max_dev[ks], _ci_deviations(m, m_vars, [queries[k] for k in ks]))
 
     records = tuple(
         QueryRecord(

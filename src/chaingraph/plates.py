@@ -68,7 +68,7 @@ class PlateModel:
 
     graph: ChainGraph
     plates: tuple[Plate, ...] = ()
-    name: str = "model"
+    name: str = "G"  # not a keyword, so emitted text parses
     _paths: dict[str, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
     _children: dict[str | None, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
     _membership: dict[str, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)

@@ -154,6 +154,20 @@ def test_oracle_bound_plated_model():
     assert code == 0 and "soundness: ok" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--trials", "0"), "--trials must be at least 1, got 0"),
+        (("--tol", "-1"), "--tol must be a finite number >= 0, got -1"),
+        (("--tol", "nan"), "--tol must be a finite number >= 0, got nan"),
+        (("--tol", "inf"), "--tol must be a finite number >= 0, got inf"),
+    ],
+)
+def test_oracle_argument_checks_exit_2(flags, message):
+    code, out, err = invoke("oracle", cg("fig3"), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_output_file(tmp_path):
     target = tmp_path / "out.txt"
     code, out, _ = invoke("factorize", cg("fig2"), "-o", str(target))

@@ -7,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaingraph import (
+    ChainGraph,
     Diagnostic,
     EdgeDecl,
     ModelError,
     NodeDecl,
+    Plate,
     PlateDecl,
+    PlateError,
+    PlateModel,
     corpus,
+    directed,
     emit_model,
     expand,
     load_model,
@@ -287,6 +292,20 @@ def test_emit_model_round_trips_plated_models(models):
     empty = parse_model("model m { node a; plate p [N] { } plate q [M] { node b; } a -> b; }")
     assert [p.name for p in empty.plates] == ["p", "q"]
     assert "plate p [N] {" in assert_round_trips(empty)
+
+
+def test_emit_model_of_an_unnamed_plate_model_round_trips():
+    g = ChainGraph(["theta", "x"], [directed("theta", "x")])
+    m = PlateModel(g, (Plate("P", "N", frozenset({"x"})),))
+    assert assert_round_trips(m).startswith("model G {")
+
+
+def test_emit_model_rejects_overlapping_plates():
+    # x sits in the sibling plates P and Q: nested blocks cannot say that
+    g = ChainGraph(["y", "x"], [directed("y", "x")])
+    m = PlateModel(g, (Plate("P", "N", frozenset({"x"})), Plate("Q", "M", frozenset({"x"}))))
+    with pytest.raises(PlateError, match="node 'x' is in plates 'P' and 'Q', which do not nest"):
+        emit_model(m)
 
 
 def test_parse_model_raises_with_diagnostics():

@@ -300,11 +300,30 @@ def _per_trial_sweep(g, trials, seed):
 
 
 def _sweep_targets(models):
+    fig2 = models["fig2"].graph
     return {
-        "fig2": models["fig2"].graph,
+        "fig2": fig2,
         "cad": models["cad"].graph,
         "coin[N=5]": expand(models["coin"], {"N": 5}),
+        # a group's pairs of 2- and 3-state nodes take views of several
+        # shapes, and the 3-state deterministic d leaves some p(S) at zero
+        "fig2[3-state]": fig2.with_attrs(
+            {v: NodeAttr(domain_size=3, deterministic=v == "d") for v in "bdeg"}
+        ),
     }
+
+
+def _watch_blocks(monkeypatch):
+    """Record (queries, view shape) for every block `_block_deviations` scores."""
+    blocks = []
+    score = oracle._block_deviations
+
+    def watched(views):
+        blocks.append((len(views), views[0].shape))
+        return score(views)
+
+    monkeypatch.setattr(oracle, "_block_deviations", watched)
+    return blocks
 
 
 def _assert_matches_per_trial_loop(g, trials, seed):
@@ -318,15 +337,16 @@ def _assert_matches_per_trial_loop(g, trials, seed):
         assert r.dependence_seen == (implied or dev > rep.dependence_threshold)
 
 
-@pytest.mark.parametrize("name", ["fig2", "cad", "coin[N=5]"])
-def test_batched_sweep_matches_per_trial_loop(models, name):
+@pytest.mark.parametrize("name", ["fig2", "cad", "coin[N=5]", "fig2[3-state]"])
+def test_batched_sweep_matches_per_trial_loop(models, monkeypatch, name):
+    blocks = _watch_blocks(monkeypatch)
     _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=6, seed=17)
+    pairs = {shape[1:3] for _, shape in blocks if shape[0] == 6}
+    assert pairs == ({(2, 2), (2, 3), (3, 2), (3, 3)} if name == "fig2[3-state]" else {(2, 2)})
 
 
 @pytest.mark.parametrize("name", ["fig2", "cad", "coin[N=5]"])
 def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
-    # 600 entries hold two 8-node joints: fig2's trials go in chunks of two
-    monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", 600)
     sizes = []
     marginal = oracle._marginal
 
@@ -335,10 +355,21 @@ def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
         return marginal(table, vars_, keep)
 
     monkeypatch.setattr(oracle, "_marginal", watched)
-    _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=5, seed=4)
-    assert max(np.prod(s) for s in sizes) <= 600
-    if name == "fig2":
-        assert {s[0] for s in sizes if len(s) == 9} == {2, 1}
+    blocks = _watch_blocks(monkeypatch)
+    # 600 entries hold two 8-node joints: fig2's trials go in chunks of two.
+    # 2^14 entries hold every stack whole, and its block budget of 128
+    # entries splits each group's queries into several stacked blocks.
+    for limit in (600, 1 << 14):
+        monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", limit)
+        sizes.clear()
+        blocks.clear()
+        _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=5, seed=4)
+        assert max(np.prod(s) for s in sizes) <= limit
+        if name == "fig2" and limit == 600:
+            assert {s[0] for s in sizes if len(s) == 9} == {2, 1}
+        budget = limit >> 7
+        assert all(n == 1 or n * np.prod(shape) <= budget for n, shape in blocks)
+        assert any(n > 1 for n, _ in blocks) == (limit > 600)
 
 
 # -- equivalence ----------------------------------------------------------------------
