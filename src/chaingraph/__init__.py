@@ -60,7 +60,6 @@ from .plates import (
     PlateModel,
     expand,
     factorize_plated,
-    indval,
     validate_plates,
 )
 from .lang import (
@@ -93,7 +92,7 @@ _ORACLE_NAMES = frozenset({
     "all_singleton_queries", "assignment_from_rng",
     "build_joint", "check_equivalence", "check_global_markov",
     "ci_deviation", "conditional_deviation", "eliminated_assignment",
-    "marginal_deviation", "random_assignment",
+    "marginal_deviation",
 })
 
 
@@ -119,7 +118,7 @@ __all__ = [
     "factorize_chain", "factorize_undirected",
     "render", "render_term",
     "Binding", "Plate", "PlateError", "PlateModel",
-    "expand", "factorize_plated", "indval", "validate_plates",
+    "expand", "factorize_plated", "validate_plates",
     "Diagnostic", "EdgeDecl", "ModelAst", "ModelError", "NodeDecl",
     "ParseResult", "PlateDecl", "ResolveResult", "SourceSpan",
     "emit_model", "load_model", "parse", "parse_model", "resolve",
@@ -129,7 +128,7 @@ __all__ = [
     "all_singleton_queries", "assignment_from_rng",
     "build_joint", "check_equivalence", "check_global_markov",
     "ci_deviation", "conditional_deviation", "eliminated_assignment",
-    "marginal_deviation", "random_assignment",
+    "marginal_deviation",
     "corpus",
     "__version__",
 ]

@@ -8,7 +8,6 @@ Exit codes: 0 success; 1 invalid model (or a failed soundness check);
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -250,6 +249,8 @@ def _dispatch(ns, err) -> list[str] | None:
         report = check_global_markov(target, trials=ns.trials, seed=ns.seed, tol=ns.tol)
         lines = report.summary().splitlines()
         if ns.json:
+            import json  # only this branch writes JSON
+
             payload = {
                 "nodes": report.node_count,
                 "trials": report.trials,

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
@@ -33,17 +32,26 @@ class StateSpaceError(RuntimeError):
     catch it without importing numpy."""
 
 
-@dataclass(frozen=True)
-class NodeAttr:
+class _NodeAttr(NamedTuple):
+    deterministic: bool
+    observed: bool
+    domain_size: int
+
+
+class NodeAttr(_NodeAttr):
     """Per-node attributes: deterministic flag, observedness, domain size."""
 
-    deterministic: bool = False
-    observed: bool = False
-    domain_size: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.domain_size < 1:
-            raise GraphError(f"domain_size must be a positive integer, got {self.domain_size}")
+    def __new__(cls, deterministic: bool = False, observed: bool = False, domain_size: int = 2) -> "NodeAttr":
+        if domain_size < 1:
+            raise GraphError(f"domain_size must be a positive integer, got {domain_size}")
+        return tuple.__new__(cls, (deterministic, observed, domain_size))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "NodeAttr":
+        # ``_replace`` builds through here, so it checks the domain too
+        return cls(*fields)
 
 
 # shared by every node declared by bare name
@@ -54,23 +62,30 @@ def _unknown(name: str) -> GraphError:
     return GraphError(f"unknown node {name!r}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class _Edge(NamedTuple):
+    u: str
+    v: str
+    directed: bool
+
+
+class Edge(_Edge):
     """A single arc (directed=True, u -> v) or undirected edge (u -- v).
 
     Undirected edges are normalised so that u <= v lexicographically, which
     makes Edge values comparable independent of construction order.
     """
 
-    u: str
-    v: str
-    directed: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.directed and self.u > self.v:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+    def __new__(cls, u: str, v: str, directed: bool) -> "Edge":
+        if not directed and u > v:
+            u, v = v, u
+        return tuple.__new__(cls, (u, v, directed))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Edge":
+        # ``_replace`` builds through here, so it normalises too
+        return cls(*fields)
 
 
 def directed(u: str, v: str) -> Edge:
@@ -284,7 +299,7 @@ class ChainGraph:
 
     def observe(self, names: Iterable[str]) -> "ChainGraph":
         """Copy with the given nodes marked observed."""
-        ups = {n: replace(self.attr(n), observed=True) for n in names}
+        ups = {n: self.attr(n)._replace(observed=True) for n in names}
         return self.with_attrs(ups)
 
     # -- component helpers ---------------------------------------------------
@@ -362,7 +377,6 @@ class ChainGraph:
         return f"ChainGraph(nodes={len(self._attrs)}, edges={len(self._edges)})"
 
 
-@dataclass(frozen=True)
 class ComponentIndex:
     """A graph's chain components (connected components under undirected
     edges), in discovery order as :meth:`ChainGraph.undirected_components`
@@ -370,9 +384,22 @@ class ComponentIndex:
     position and is not to be modified; ``parents[i]`` is the union of the
     parents of component i's members, minus the component itself."""
 
-    components: tuple[tuple[str, ...], ...]
-    component_of: dict[str, int]
-    parents: tuple[frozenset[str], ...]
+    def __init__(
+        self,
+        components: tuple[tuple[str, ...], ...],
+        component_of: dict[str, int],
+        parents: tuple[frozenset[str], ...],
+    ) -> None:
+        self.components = components
+        self.component_of = component_of
+        self.parents = parents
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComponentIndex):
+            return NotImplemented
+        return (self.components, self.component_of, self.parents) == (
+            other.components, other.component_of, other.parents
+        )
 
     @cached_property
     def sources(self) -> tuple[frozenset[int], ...]:
@@ -408,8 +435,7 @@ class ComponentIndex:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation failure; `nodes` carries the witness cycle if any."""
 
     kind: str
@@ -418,10 +444,10 @@ class Violation:
     edge: tuple[str, str] | None = None
 
 
-@dataclass
 class ValidationReport:
-    errors: list[Violation]
-    warnings: list[str]
+    def __init__(self, errors: list[Violation], warnings: list[str]) -> None:
+        self.errors = errors
+        self.warnings = warnings
 
     @property
     def ok(self) -> bool:
@@ -465,9 +491,8 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
         first_edge = quotient[comp_cycle[0]][comp_cycle[1]]
         errors.append(Violation("semi-directed-cycle", msg, nodes=nodes, edge=first_edge))
 
-    for n in g.node_names:
-        a = g.attr(n)
-        if a.deterministic and not g.parents(n):
+    for n, a in g._attrs.items():
+        if a.deterministic and not g._parents[n]:
             errors.append(
                 Violation(
                     "deterministic-without-parents",

@@ -23,7 +23,6 @@ its parents; no graph is built per block unless one is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -31,11 +30,13 @@ from .core import ChainGraph, Edge, GraphError
 from .markov import maximal_cliques
 
 
-@dataclass(frozen=True)
 class Partition:
     """Disjoint blocks covering a graph's nodes, in canonical order."""
 
-    blocks: tuple[frozenset[str], ...]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[frozenset[str], ...]) -> None:
+        self.blocks = blocks
 
     @classmethod
     def from_blocks(cls, g: ChainGraph, blocks: Iterable[Iterable[str]]) -> "Partition":
@@ -81,7 +82,6 @@ def component_subgraphs(g: ChainGraph) -> Partition:
     return Partition.from_blocks(g, blocks)
 
 
-@dataclass(frozen=True)
 class ConditionalSubgraph:
     """One chain component of ``source`` extended with its parents.
 
@@ -90,10 +90,13 @@ class ConditionalSubgraph:
     cached parent set.
     """
 
-    own_nodes: frozenset[str]
-    parent_nodes: frozenset[str]
-    flavor: str  # "directed" | "undirected"
-    source: ChainGraph
+    def __init__(
+        self, own_nodes: frozenset[str], parent_nodes: frozenset[str], flavor: str, source: ChainGraph
+    ) -> None:
+        self.own_nodes = own_nodes
+        self.parent_nodes = parent_nodes
+        self.flavor = flavor  # "directed" | "undirected"
+        self.source = source
 
     @cached_property
     def graph(self) -> ChainGraph:
@@ -104,11 +107,11 @@ class ConditionalSubgraph:
         nodes = g.sorted_nodes(self.own_nodes | parents)
         keep = frozenset(nodes)
         arcs = self.flavor == "directed"
-        attrs = {n: replace(g.attr(n), observed=True) if n in parents else g.attr(n) for n in nodes}
+        attrs = {n: g.attr(n)._replace(observed=True) if n in parents else g.attr(n) for n in nodes}
         edges = []
         for v in nodes:  # from the head's side, as in adjacency()
-            edges.extend(Edge(u, v, arcs) for u in g.parents(v) & keep)
-            edges.extend(Edge(u, v, False) for u in g.neighbors(v) & keep if u < v)
+            edges.extend(Edge(u, v, arcs) for u in g._parents[v] & keep)
+            edges.extend(Edge(u, v, False) for u in g._neighbors[v] & keep if u < v)
         return ChainGraph(attrs, edges)
 
     def uncompleted(self) -> ChainGraph:
@@ -121,17 +124,19 @@ class ConditionalSubgraph:
         its parents and neighbours; a parent to the members it points into
         and to the other parents it shares an edge with.  Edges are found
         from the head's side (a node's parents and neighbours), so a hub
-        parent's children outside the block are never looked at."""
+        parent's children outside the block are never looked at.  The
+        graph's own adjacency sets are read, not copied."""
         g, parents = self.source, self.parent_nodes
+        g_parents, g_neighbors = g._parents, g._neighbors
         adj: dict[str, set[str]] = {p: set() for p in parents}
         for x in self.own_nodes:
-            adj[x] = set(g.neighbors(x))
+            adj[x] = set(g_neighbors[x])
         for x in self.own_nodes:
-            for p in g.parents(x):
+            for p in g_parents[x]:
                 adj[x].add(p)
                 adj[p].add(x)
         for p in parents:
-            for q in (g.parents(p) | g.neighbors(p)) & parents:
+            for q in (g_parents[p] | g_neighbors[p]) & parents:
                 adj[p].add(q)
                 adj[q].add(p)
         return adj
@@ -141,12 +146,14 @@ class ConditionalSubgraph:
         return maximal_cliques(self.adjacency(), self.source.index)
 
 
-@dataclass(frozen=True)
 class MasterGraph:
     """Conditional subgraphs in topological order plus the quotient arcs."""
 
-    subgraphs: tuple[ConditionalSubgraph, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("subgraphs", "edges")
+
+    def __init__(self, subgraphs: tuple[ConditionalSubgraph, ...], edges: tuple[tuple[int, int], ...]) -> None:
+        self.subgraphs = subgraphs
+        self.edges = edges
 
     @property
     def blocks(self) -> tuple[frozenset[str], ...]:

@@ -29,9 +29,8 @@ variable cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import ChainGraph, Edge, GraphError
 from .decompose import ConditionalSubgraph, master_graph
@@ -42,8 +41,7 @@ class FactorError(ValueError):
     """Expression misuse (bad target, conditioning a plated product, ...)."""
 
 
-@dataclass(frozen=True)
-class FactorTerm:
+class FactorTerm(NamedTuple):
     """One factor.  Conditionals and deltas carry head variables; potentials
     and normalizers keep all their arguments in ``given``.  ``group`` ties a
     normalizer to the potentials it normalizes."""
@@ -63,8 +61,7 @@ class FactorTerm:
         return render_term(self)
 
 
-@dataclass(frozen=True)
-class PlateProduct:
+class PlateProduct(NamedTuple):
     """A replicated sub-product: prod over ``index`` ranging in ``index_set``."""
 
     index: str
@@ -75,19 +72,28 @@ class PlateProduct:
 Item = Union[FactorTerm, PlateProduct]
 
 
-@dataclass
 class FactorExpression:
     """An ordered product of terms, possibly nested in plate products, with
     optional marginalization (``sum_out``) and an optional ratio denominator
     (``denom_sum``) produced by conditioning."""
 
-    items: tuple[Item, ...]
-    free_vars: frozenset[str]
-    given_vars: frozenset[str]
-    order: tuple[str, ...]
-    domains: dict[str, int] | None = None
-    sum_out: tuple[str, ...] = ()
-    denom_sum: tuple[str, ...] | None = None
+    def __init__(
+        self,
+        items: tuple[Item, ...],
+        free_vars: frozenset[str],
+        given_vars: frozenset[str],
+        order: tuple[str, ...],
+        domains: dict[str, int] | None = None,
+        sum_out: tuple[str, ...] = (),
+        denom_sum: tuple[str, ...] | None = None,
+    ) -> None:
+        self.items = items
+        self.free_vars = free_vars
+        self.given_vars = given_vars
+        self.order = order
+        self.domains = domains
+        self.sum_out = sum_out
+        self.denom_sum = denom_sum
 
     @property
     def terms(self) -> tuple[FactorTerm, ...]:
@@ -187,7 +193,7 @@ def _block_terms(g: ChainGraph) -> Iterator[tuple[ConditionalSubgraph, FactorTer
     if len(zs) > 1:
         for k, i in enumerate(zs):
             sub, t = pairs[i]
-            pairs[i] = (sub, replace(t, label=f"Z_{k}"))
+            pairs[i] = (sub, t._replace(label=f"Z_{k}"))
     yield from pairs
 
 

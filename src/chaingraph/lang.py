@@ -19,9 +19,8 @@ Neither ever raises on arbitrary input text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import ChainGraph, Edge, GraphError, NodeAttr, Violation
 from .plates import Plate, PlateError, PlateModel, validate_plates
@@ -32,20 +31,28 @@ MAX_PLATE_NESTING = 16
 _KEYWORDS = frozenset({"model", "node", "plate", "det", "obs"})
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class _SourceSpan(NamedTuple):
     line: int  # 1-based, of the span start
     column: int  # 1-based
     start: int  # byte offset, inclusive
     end: int  # byte offset, exclusive
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
+
+class SourceSpan(_SourceSpan):
+    __slots__ = ()
+
+    def __new__(cls, line: int, column: int, start: int, end: int) -> "SourceSpan":
+        if start > end:
             raise ValueError("span start after end")
+        return tuple.__new__(cls, (line, column, start, end))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "SourceSpan":
+        # ``_replace`` builds through here, so it checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     span: SourceSpan | None = None
@@ -59,24 +66,21 @@ class Diagnostic:
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeDecl:
+class NodeDecl(NamedTuple):
     name: str
     attrs: tuple[str, ...]  # subset of {"det", "obs"}, canonical order
     domain: int | None
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class EdgeDecl:
+class EdgeDecl(NamedTuple):
     u: str
     v: str
     directed: bool
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class PlateDecl:
+class PlateDecl(NamedTuple):
     name: str
     symbol: str
     body: tuple["Stmt", ...]
@@ -86,17 +90,16 @@ class PlateDecl:
 Stmt = Union[NodeDecl, EdgeDecl, PlateDecl]
 
 
-@dataclass(frozen=True)
-class ModelAst:
+class ModelAst(NamedTuple):
     name: str
     statements: tuple[Stmt, ...]
     span: SourceSpan
 
 
-@dataclass
 class ParseResult:
-    ast: ModelAst | None
-    diagnostics: list[Diagnostic]
+    def __init__(self, ast: ModelAst | None, diagnostics: list[Diagnostic]) -> None:
+        self.ast = ast
+        self.diagnostics = diagnostics
 
     @property
     def ok(self) -> bool:
@@ -360,10 +363,10 @@ def parse(source: str) -> ParseResult:
 # -- resolver ----------------------------------------------------------------
 
 
-@dataclass
 class ResolveResult:
-    model: PlateModel | None
-    diagnostics: list[Diagnostic]
+    def __init__(self, model: PlateModel | None, diagnostics: list[Diagnostic]) -> None:
+        self.model = model
+        self.diagnostics = diagnostics
 
     @property
     def ok(self) -> bool:

@@ -22,9 +22,8 @@ common neighbors are all observed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
 from .core import ChainGraph, Edge, GraphError
 
@@ -40,19 +39,28 @@ class CliqueBoundError(RuntimeError):
 MAX_CLIQUE_NODES = 64
 
 
-@dataclass(frozen=True)
-class CiQuery:
-    """A _||_ B | S with non-empty, pairwise disjoint A and B."""
-
+class _CiQuery(NamedTuple):
     a: frozenset[str]
     b: frozenset[str]
-    s: frozenset[str] = frozenset()
+    s: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if not self.a or not self.b:
+
+class CiQuery(_CiQuery):
+    """A _||_ B | S with non-empty, pairwise disjoint A and B."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: frozenset[str], b: frozenset[str], s: frozenset[str] = frozenset()) -> "CiQuery":
+        if not a or not b:
             raise QueryError("both sides of an independence query must be non-empty")
-        if self.a & self.b or self.a & self.s or self.b & self.s:
+        if a & b or a & s or b & s:
             raise QueryError("query sets must be pairwise disjoint")
+        return tuple.__new__(cls, (a, b, s))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "CiQuery":
+        # ``_replace`` builds through here, so it checks too
+        return cls(*fields)
 
     def text(self, order: Iterable[str] | None = None) -> str:
         def fmt(ns: frozenset[str]) -> str:
@@ -237,19 +245,21 @@ def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
 
     Equal to ``separates(moralize_chain(g.induced(anterior)), q)``, without
     building either graph: the walk goes from A, stopping at S, over the
-    moral graph of the anterior set as read off ``g`` itself.
+    moral graph of the anterior set as read off ``g`` itself (its adjacency
+    sets are read, not copied).
     """
     anterior = g.ancestors_chain(q.a | q.b | q.s)
     index = g.component_index
     comp_of, comp_parents = index.component_of, index.parents
+    parents, children, neighbors = g._parents, g._children, g._neighbors
     blocked, targets = q.s, q.b
     seen = set(q.a)
     todo = list(q.a)
     while todo:
         x = todo.pop()
         own = comp_of[x]
-        moral = [g.neighbors(x), g.parents(x)]
-        for c in g.children(x):
+        moral = [neighbors[x], parents[x]]
+        for c in children[x]:
             if c in anterior:
                 moral.append((c,))
                 if comp_of[c] != own:

@@ -24,8 +24,7 @@ product is a genuine chain-graph distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ class OracleError(ValueError):
     """Malformed request: missing tables, unknown variables, ratio input."""
 
 
-@dataclass(frozen=True)
-class TermTable:
+class TermTable(NamedTuple):
     """A numeric table for one term; axes follow ``vars`` (given + head)."""
 
     vars: tuple[str, ...]
@@ -59,8 +57,7 @@ class TermTable:
 PotentialAssignment = dict[str, TermTable]
 
 
-@dataclass(frozen=True)
-class JointTable:
+class JointTable(NamedTuple):
     vars: tuple[str, ...]
     table: np.ndarray
 
@@ -95,6 +92,12 @@ def _check_size(what: str, shape: Iterable[int]) -> None:
         raise StateSpaceError(
             f"{what} has {size} configurations, over the limit of {MAX_JOINT_CONFIGS}"
         )
+
+
+def _check_tol(tol: float) -> None:
+    # a negative or NaN tol fails every comparison against it, an infinite one passes every one
+    if not 0.0 <= tol < math.inf:
+        raise OracleError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _domains_of(e: FactorExpression) -> dict[str, int]:
@@ -178,10 +181,6 @@ def _compute_normalizers(e: FactorExpression, pa: PotentialAssignment, skip: fro
         inv = 1.0 / summed
         perm = [kept.index(v) for v in t.vars]
         pa[t.name()] = TermTable(t.vars, np.transpose(inv, perm) if perm else inv)
-
-
-def random_assignment(e: FactorExpression, seed: int) -> PotentialAssignment:
-    return assignment_from_rng(e, np.random.default_rng(seed))
 
 
 def _broadcast(tt: TermTable, order: Sequence[str], domains: Mapping[str, int]) -> np.ndarray:
@@ -332,8 +331,7 @@ def marginal_deviation(j1: JointTable, j2: JointTable, on: Iterable[str]) -> flo
 # -- global Markov sweep ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     query: CiQuery
     implied: bool
     max_deviation: float
@@ -341,8 +339,7 @@ class QueryRecord:
     dependence_seen: bool  # non-implied queries: some trial deviated > threshold
 
 
-@dataclass(frozen=True)
-class MarkovReport:
+class MarkovReport(NamedTuple):
     node_count: int
     trials: int
     seed: int
@@ -417,6 +414,7 @@ def check_global_markov(
         )
     if trials < 1:
         raise OracleError("trials must be positive")
+    _check_tol(tol)
     e = factorize_chain(g)
     order, shape = _joint_shape(e)
     queries = all_singleton_queries(g)
@@ -453,8 +451,7 @@ def check_global_markov(
 # -- expression equivalence ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     trials: int
     mode: str
     tol: float
@@ -492,6 +489,7 @@ def check_equivalence(
     free/given sets; ``mode="marginal"`` compares the marginal over the
     variables both expressions mention.
     """
+    _check_tol(tol)
     _require_ground(e1)
     _require_ground(e2)
     shared = dict(shared or {})

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .core import ChainGraph, Edge, NodeAttr, StateSpaceError, ValidationReport, Violation
 from .factorize import (
@@ -48,8 +47,7 @@ _COPY_SUFFIX = re.compile(r"_[1-9][0-9]*\Z")
 MAX_GROUND_SIZE = 1_000_000
 
 
-@dataclass(frozen=True)
-class Plate:
+class Plate(NamedTuple):
     """A replication box.  ``symbol`` names the index set (its cardinality
     under a binding); ``parent`` is the enclosing plate's name, if any."""
 
@@ -59,27 +57,21 @@ class Plate:
     parent: str | None = None
 
 
-@dataclass(frozen=True)
 class PlateModel:
     """A chain graph with plates.  The plates must form a forest: every
     parent names a plate of the model and no plate nests in itself, which
     construction checks.  The nesting is indexed once, here, and every plate
     consumer reads it."""
 
-    graph: ChainGraph
-    plates: tuple[Plate, ...] = ()
-    name: str = "G"  # not a keyword, so emitted text parses
-    _paths: dict[str, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
-    _children: dict[str | None, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
-    _membership: dict[str, tuple[Plate, ...]] = field(init=False, repr=False, compare=False)
-    _innermost: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        names = {p.name for p in self.plates}
-        if len(names) != len(self.plates):
+    def __init__(self, graph: ChainGraph, plates: tuple[Plate, ...] = (), name: str = "G") -> None:
+        self.graph = graph
+        self.plates = plates
+        self.name = name  # the default is not a keyword, so emitted text parses
+        names = {p.name for p in plates}
+        if len(names) != len(plates):
             raise PlateError("duplicate plate name")
         children: dict[str | None, list[Plate]] = {}
-        for p in self.plates:
+        for p in plates:
             if p.parent is not None and p.parent not in names:
                 raise PlateError(f"plate {p.name!r} nests in unknown plate {p.parent!r}")
             children.setdefault(p.parent, []).append(p)
@@ -92,22 +84,22 @@ class PlateModel:
             for c in children.get(path[-1].name if path else None, ()):
                 paths[c.name] = path + (c,)
                 grow.append(paths[c.name])
-        for p in self.plates:
+        for p in plates:
             if p.name not in paths:
                 raise PlateError(f"plate {p.name!r} nests in a cycle")
 
         membership: dict[str, list[Plate]] = {}
-        for p in sorted(self.plates, key=lambda p: len(paths[p.name])):  # stable: depth, then declaration
+        for p in sorted(plates, key=lambda p: len(paths[p.name])):  # stable: depth, then declaration
             for v in p.members:
                 membership.setdefault(v, []).append(p)
-        innermost: dict[str, list[str]] = {p.name: [] for p in self.plates}
-        for v in self.graph.sorted_nodes(v for v in membership if v in self.graph):
+        innermost: dict[str, list[str]] = {p.name: [] for p in plates}
+        for v in graph.sorted_nodes(v for v in membership if v in graph):
             innermost[membership[v][-1].name].append(v)
 
-        object.__setattr__(self, "_paths", paths)
-        object.__setattr__(self, "_children", {k: tuple(ps) for k, ps in children.items()})
-        object.__setattr__(self, "_membership", {v: tuple(ps) for v, ps in membership.items()})
-        object.__setattr__(self, "_innermost", {k: tuple(vs) for k, vs in innermost.items()})
+        self._paths = paths
+        self._children = {k: tuple(ps) for k, ps in children.items()}
+        self._membership = {v: tuple(ps) for v, ps in membership.items()}
+        self._innermost = {k: tuple(vs) for k, vs in innermost.items()}
 
     def plate(self, name: str) -> Plate:
         return self._paths[name][-1]
@@ -270,14 +262,6 @@ def _index_tuples(m: PlateModel, chain: tuple[Plate, ...], b: Binding) -> Iterat
     return rec(0, {}, ())
 
 
-def indval(m: PlateModel, v: str, b: Binding) -> set[tuple[int, ...]]:
-    """All index tuples of node v: the cross product of the index ranges of
-    the plates containing it.  A node in no plate has the single empty tuple."""
-    if v not in m.graph:
-        raise KeyError(v)
-    return set(_index_tuples(m, m.membership(v), b))
-
-
 def _ground_name(base: str, t: tuple[int, ...]) -> str:
     return base if not t else base + "_" + "_".join(str(i) for i in t)
 
@@ -371,9 +355,7 @@ def _symbolic_expression(m: PlateModel) -> FactorExpression:
     placed: dict[str | None, list[tuple[int, Item]]] = {}
     for pos, (sub, t) in enumerate(_block_terms(g)):
         chain = m.membership(next(iter(sub.own_nodes)))
-        renamed = replace(
-            t, head=tuple(rename[v] for v in t.head), given=tuple(rename[v] for v in t.given)
-        )
+        renamed = t._replace(head=tuple(rename[v] for v in t.head), given=tuple(rename[v] for v in t.given))
         placed.setdefault(chain[-1].name if chain else None, []).append((pos, renamed))
 
     def build(p: Plate | None) -> list[tuple[int, Item]]:

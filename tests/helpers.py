@@ -13,7 +13,11 @@ import re
 import sys
 from pathlib import Path
 
-from chaingraph import ChainGraph, Edge, NodeAttr, indval
+import numpy as np
+
+from chaingraph import ChainGraph, Edge, NodeAttr
+from chaingraph.oracle import assignment_from_rng
+from chaingraph.plates import _index_tuples
 
 
 def _load_benchmark_reference():
@@ -245,6 +249,23 @@ def same_graph(g1: ChainGraph, g2: ChainGraph, check_attrs: bool = True) -> bool
     if check_attrs and g1.attrs() != g2.attrs():
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# conveniences the library does not need
+
+
+def indval(m, v: str, b) -> set[tuple[int, ...]]:
+    """All index tuples of node v: the cross product of the index ranges of
+    the plates containing it.  A node in no plate has the single empty tuple."""
+    if v not in m.graph:
+        raise KeyError(v)
+    return set(_index_tuples(m, m.membership(v), b))
+
+
+def random_assignment(e, seed: int):
+    """Random tables for every term of ``e``, drawn from one seed."""
+    return assignment_from_rng(e, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

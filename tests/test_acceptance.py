@@ -8,7 +8,6 @@ count an overrun as a failure.
 """
 
 import random
-from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -34,7 +33,6 @@ from chaingraph import (
     factorize_undirected,
     marginal_deviation,
     parse,
-    random_assignment,
     render,
     simplify_conditional_directed,
     simplify_conditional_undirected,
@@ -42,6 +40,7 @@ from chaingraph import (
 )
 from helpers import (
     has_semi_directed_cycle,
+    random_assignment,
     random_dag,
     random_mixed,
     random_undirected,
@@ -208,7 +207,7 @@ def test_acceptance_6_deterministic_node_elimination():
             continue
         rng.shuffle(candidates)
         dets = candidates[: rng.randint(1, min(2, len(candidates)))]
-        g = g0.with_attrs({d: replace(g0.attr(d), deterministic=True) for d in dets})
+        g = g0.with_attrs({d: g0.attr(d)._replace(deterministic=True) for d in dets})
         if not validate_chain_graph(g).ok:
             continue
         e = factorize_chain(g)

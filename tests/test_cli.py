@@ -287,6 +287,25 @@ def test_import_leaves_numpy_unloaded():
     assert res.stdout.split() == ["False", "True"]
 
 
+def test_cli_call_leaves_heavy_modules_unloaded():
+    # -S: the modules an installation's .pth files import stay out of the count
+    env = dict(os.environ, PYTHONPATH=str(MODELS.parent.parent))
+    probe = (
+        "import sys, chaingraph.cli\n"
+        f"code = chaingraph.cli.run(['factorize', {cg('fig2')!r}])\n"
+        "heavy = ('dataclasses', 'inspect', 'json', 'numpy')\n"
+        "print(code, *sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "p(a,b) p(c|b) p(d|a,c) f_0(b,c) f_1(b,f) f_2(c,e) f_3(e,f) f_4(e,g) f_5(f,h) f_6(g,h)",
+        "0",
+    ]
+
+
 def test_elim_det_error_exit_1(tmp_path):
     bad = tmp_path / "detundir.cg"
     bad.write_text(

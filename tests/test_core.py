@@ -32,6 +32,18 @@ def test_edge_normalizes_undirected_order():
 def test_node_attr_rejects_bad_domain():
     with pytest.raises(GraphError):
         NodeAttr(domain_size=0)
+    with pytest.raises(GraphError):
+        NodeAttr(domain_size=3)._replace(domain_size=0)
+
+
+def test_records_are_named_tuples():
+    # a record equals the plain tuple of its fields; _replace checks and
+    # normalises as construction does
+    assert NodeAttr(observed=True) == (False, True, 2)
+    assert NodeAttr()._replace(observed=True) == NodeAttr(observed=True)
+    assert directed("a", "b") == ("a", "b", True)
+    e = directed("b", "a")._replace(directed=False)
+    assert (type(e), e) == (Edge, ("a", "b", False))
 
 
 def test_declaration_order_is_canonical():

@@ -57,6 +57,8 @@ def test_query_sets_must_be_disjoint():
         CiQuery(frozenset("a"), frozenset("b"), frozenset("a"))
     with pytest.raises(QueryError):
         CiQuery(frozenset(), frozenset("b"))
+    with pytest.raises(QueryError):
+        CiQuery(frozenset("a"), frozenset("b"))._replace(s=frozenset("b"))
 
 
 def test_query_text_respects_order():

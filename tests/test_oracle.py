@@ -26,10 +26,10 @@ from chaingraph import (
     factorize_undirected,
     implies_ci,
     marginal_deviation,
-    random_assignment,
     undirected,
 )
 from chaingraph import oracle
+from helpers import random_assignment
 
 
 def chain(n):
@@ -266,6 +266,22 @@ def test_check_global_markov_node_bound(models):
     # ground coin with N=10 has 11 nodes, one over the limit
     with pytest.raises(StateSpaceError, match="sweep graph has 11 nodes, over the limit of 10"):
         check_global_markov(expand(models["coin"], {"N": 10}))
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), float("-inf")])
+def test_sweep_and_equivalence_refuse_a_bad_tol(graphs, tol):
+    # such a tol would fail, or pass, every comparison against it
+    with pytest.raises(OracleError, match="tol must be a finite number >= 0"):
+        check_global_markov(graphs["fig3"], trials=1, tol=tol)
+    e = factorize_chain(graphs["fig3"])
+    with pytest.raises(OracleError, match="tol must be a finite number >= 0"):
+        check_equivalence(e, e, trials=1, tol=tol)
+
+
+def test_zero_tol_is_accepted(graphs):
+    assert check_global_markov(graphs["fig1a"], trials=1, tol=0.0).tol == 0.0
+    e = factorize_chain(graphs["fig3"])
+    assert check_equivalence(e, e, trials=1, tol=0).tol == 0
 
 
 def _one_joint_deviation(j, q):

@@ -15,14 +15,13 @@ from chaingraph import (
     expand,
     factorize_chain,
     factorize_plated,
-    indval,
     parse_model,
     render,
     undirected,
     validate_plates,
 )
 from chaingraph.plates import _ground_size
-from helpers import expand_all_pairs, plate_collisions_by_regex, same_graph
+from helpers import expand_all_pairs, indval, plate_collisions_by_regex, same_graph
 
 
 def plate_model(nodes, edges, plates, **kw):
