@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -95,15 +96,40 @@ def _graph_for_query(m: PlateModel, bind, what: str) -> ChainGraph:
     return m.graph
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Prints help to ``out`` and usage errors to ``err``, the streams of one
+    `run` call, where argparse would print to sys.stdout and sys.stderr."""
+
+    def __init__(self, *args, out, err, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.out, self.err = out, err
+
+    def print_usage(self, file=None) -> None:
+        super().print_usage(file or self.out)
+
+    def print_help(self, file=None) -> None:
+        super().print_help(file or self.out)
+
+    def exit(self, status: int = 0, message: str | None = None):
+        if message:
+            self.err.write(message)
+        raise SystemExit(status)
+
+    def error(self, message: str):
+        self.print_usage(self.err)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
 
-    ap = argparse.ArgumentParser(
+    parser = partial(_ArgumentParser, out=out, err=err)
+    ap = parser(
         prog="chaingraph",
         description="Parse, validate, decompose, query, and factorize chain-graph models.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=parser)
 
     def add(name: str, help_: str, *, bind: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
@@ -140,7 +166,7 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
 
     try:
         ns = ap.parse_args(list(argv) if argv is not None else None)
-    except SystemExit as exc:  # argparse already printed the message
+    except SystemExit as exc:  # the parser already printed the message
         return int(exc.code or 0)
 
     try:

@@ -275,6 +275,53 @@ def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
     return True
 
 
+def separated_pairs(g: ChainGraph, nodes: Iterable[str]) -> list[tuple[str, str]]:
+    """The pairs (a, b) of ``nodes``, a before b in ``g``'s node order, for
+    which ``implies_ci(g, a _||_ b | nodes - {a, b})`` holds, all found in
+    one pass.
+
+    Every such query has the same anterior set An(nodes), so its moral
+    adjacency is read once, as `implies_ci` reads it.  A path from a to b
+    that avoids the rest of ``nodes`` is the edge a - b or runs through
+    An(nodes) - nodes alone: a and b are separated iff they are not moral
+    neighbours and touch no common component of the moral graph on
+    An(nodes) - nodes.
+    """
+    members = g.sorted_nodes(set(nodes))
+    anterior = g.ancestors_chain(members)
+    index = g.component_index
+    comp_of, comp_parents = index.component_of, index.parents
+    parents, children, neighbors = g._parents, g._children, g._neighbors
+    moral: dict[str, set[str]] = {}
+    for x in anterior:
+        adj = moral[x] = set(neighbors[x])
+        adj.update(parents[x])
+        for c in children[x]:
+            if c in anterior:
+                adj.add(c)
+                adj.update(comp_parents[comp_of[c]])
+        adj.discard(x)
+    rest = anterior.difference(members)
+    label: dict[str, str] = {}  # each node of the rest -> a root of its component
+    for root in rest:
+        if root in label:
+            continue
+        label[root] = root
+        todo = [root]
+        while todo:
+            for y in moral[todo.pop()]:
+                if y in rest and y not in label:
+                    label[y] = root
+                    todo.append(y)
+    touched = {u: {label[y] for y in moral[u] if y in label} for u in members}
+    return [
+        (a, b)
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+        if b not in moral[a] and touched[a].isdisjoint(touched[b])
+    ]
+
+
 def simplify_conditional_directed(g: ChainGraph) -> ChainGraph:
     """Delete arcs into every observed node whose parents are all observed.
 

@@ -10,8 +10,11 @@ graph-level answer be confirmed or refuted numerically:
   not hold numerically (soundness); implied dependencies that never show
   up numerically are only warned about, since random tables need not be
   faithful.  The trials are scored together: their joints are stacked on
-  a leading axis, and each set of query nodes takes one marginal of the
-  stack, on which one kernel scores every query over those nodes.
+  a leading axis, and each node set U takes one marginal of the stack.
+  The sets of one domain shape share a block, and one kernel call per
+  pair of the block's axes scores a _||_ b | U - {a, b} for every set in
+  it.  Whether the graph implies each query comes from one pass per node
+  set over the moral graph of its anterior set.
 * `check_equivalence` instantiates two expressions with shared tables for
   designated terms and compares the conditional (or a marginal) they
   represent.
@@ -24,7 +27,8 @@ product is a genuine chain-graph distribution.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .factorize import (
     PlateProduct,
     factorize_chain,
 )
-from .markov import CiQuery, implies_ci
+from .markov import CiQuery, implies_ci, separated_pairs  # noqa: F401  (implies_ci re-exported)
 
 MAX_JOINT_CONFIGS = 1 << 20
 MAX_MARKOV_NODES = 10
@@ -228,62 +232,52 @@ def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
     return JointTable(order, arr / s)
 
 
-def _ci_deviations(m: np.ndarray, m_vars: tuple[str, ...], queries: Sequence[CiQuery]) -> np.ndarray:
-    """Each query's `ci_deviation`, at its largest over a stack of marginals.
-
-    The leading axis of ``m`` counts the tables (trials), the other axes
-    follow ``m_vars``, and every query mentions exactly the nodes of
-    ``m_vars``.  Each query views ``m`` as (trials, A, B, S).  The queries
-    whose views share a shape are scored together by `_block_deviations`,
-    in blocks of as many as fit in ``MAX_JOINT_CONFIGS >> 7`` entries (at
-    least one query each).
-    """
-    budget = MAX_JOINT_CONFIGS >> 7
-    pos = {v: i for i, v in enumerate(m_vars)}
-    t, dims = m.shape[0], m.shape[1:]
-    buckets: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
-    for k, q in enumerate(queries):
-        a, b, s = (sorted(pos[v] for v in x) for x in (q.a, q.b, q.s))
-        shape = (t, *(math.prod(dims[i] for i in x) for x in (a, b, s)))
-        buckets.setdefault(shape, []).append((k, [0] + [1 + i for i in a + b + s]))
-    out = np.zeros(len(queries))
-    for shape, members in buckets.items():
-        per = max(1, budget // math.prod(shape))
-        for start in range(0, len(members), per):
-            ks, perms = zip(*members[start : start + per])
-            # a reshape may copy, so a block's views are made only when it is scored
-            out[list(ks)] = _block_deviations([m.transpose(perm).reshape(shape) for perm in perms])
-    return out
-
-
-def _block_deviations(views: Sequence[np.ndarray]) -> np.ndarray:
+def _pair_deviations(flat: np.ndarray, i: int, j: int, sums: Sequence[np.ndarray]) -> np.ndarray:
     """max over trials and S-configs with p(S)>0 of |p(A,B|S) - p(A|S) p(B|S)|
-    for each of the same-shaped (trials, A, B, S) views, scored together.
+    for each node set of a block, A on local axis ``i``, B on axis ``j`` and
+    S on the others.
 
-    The views are copied into one block, and every step after the copy is
-    one numpy call over the block, done in place.  p(S) is summed from each
-    query's own view: numpy's order for that sum over A and B follows the
-    memory layout, and summing the block would change the last bit of some
-    deviations.  p(A,S) and p(B,S) are summed from the block; that is the
-    same arithmetic for A and B of fewer than 8 states, which numpy adds in
-    index order whatever the layout.
+    ``flat`` is (*dims, sets, trials): the marginals of node sets of one
+    domain shape, each set's axes in joint order, laid out so that every
+    step runs along rows of sets x trials entries.  ``sums[x]`` is ``flat``
+    summed over axis x, keeping it: p(A,S) is ``sums[j]`` and p(B,S)
+    ``sums[i]``; numpy adds fewer than 8 terms of one axis in index order
+    whatever the layout.
+
+    p(S) keeps each query's own order of summation, which follows the
+    memory layout of its (trials, A, B, S) view of its marginal.  When B
+    comes after A and before the last axis, that sum runs over A, then B,
+    along rows of S, and summing ``flat`` over A and B does the same.
+    Otherwise p(S) is summed from one transposed and reshaped view of the
+    marginals laid out as (sets, trials, *dims), which keeps each query's
+    view layout.
     """
-    t, na, nb, ns = views[0].shape
-    p = np.empty((len(views), t, na, nb, ns))
-    ps = np.empty((len(views), t, 1, 1, ns))
-    for i, view in enumerate(views):
-        p[i] = view
-        view.sum(axis=(1, 2), out=ps[i, :, 0, 0])
-    pas = p.sum(axis=3, keepdims=True)
-    pbs = p.sum(axis=2, keepdims=True)
+    *dims, n, t = flat.shape
+    if i < j < len(dims) - 1:
+        ps = flat.sum(axis=(i, j), keepdims=True)
+    else:
+        ps = _view_sum(flat, i, j)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(p, ps, out=p)
-        np.divide(pas, ps, out=pas)
-        np.divide(pbs, ps, out=pbs)
-        np.subtract(p, pas * pbs, out=p)
-    np.abs(p, out=p)
-    np.copyto(p, 0.0, where=ps <= 0.0)
-    return p.reshape(len(views), -1).max(axis=1, initial=0.0)
+        dev = np.multiply(sums[j] / ps, sums[i] / ps)
+        np.subtract(flat / ps, dev, out=dev)
+    np.abs(dev, out=dev)
+    unseen = ps <= 0.0
+    if unseen.any():
+        np.copyto(dev, 0.0, where=unseen)
+    return dev.reshape(-1, n * t).max(axis=0).reshape(n, t).max(axis=1, initial=0.0)
+
+
+def _view_sum(flat: np.ndarray, i: int, j: int) -> np.ndarray:
+    """p(S) of `_pair_deviations`, summed from the view (sets, trials, A, B,
+    S) of the marginals laid out as (sets, trials, *dims), with its axes
+    back in ``flat``'s order."""
+    *dims, n, t = flat.shape
+    marginals = np.ascontiguousarray(np.moveaxis(flat, (-2, -1), (0, 1)))
+    rest = [x for x in range(len(dims)) if x != i and x != j]
+    view = marginals.transpose(0, 1, 2 + i, 2 + j, *(2 + x for x in rest))
+    ps = view.reshape(n, t, dims[i], dims[j], -1).sum(axis=(2, 3))
+    ps = ps.reshape(n, t, *(1 if x == i or x == j else d for x, d in enumerate(dims)))
+    return np.moveaxis(ps, (0, 1), (-2, -1))
 
 
 def ci_deviation(j: JointTable, q: CiQuery) -> float:
@@ -292,8 +286,18 @@ def ci_deviation(j: JointTable, q: CiQuery) -> float:
     missing = nodes - set(j.vars)
     if missing:
         raise OracleError(f"query variables {sorted(missing)} not in joint")
-    m_vars, m = _marginal(j.table[None], j.vars, nodes)
-    return float(_ci_deviations(m, m_vars, [q])[0])
+    m_vars, m = _marginal(j.table, j.vars, nodes)
+    if len(q.a) == len(q.b) == 1:  # as the sweep scores it
+        (a,), (b,) = q.a, q.b
+        i, k = m_vars.index(a), m_vars.index(b)
+    else:  # A and B each merged into one axis
+        axes_a, axes_b, axes_s = (sorted(m_vars.index(v) for v in x) for x in (q.a, q.b, q.s))
+        na, nb = (math.prod(m.shape[x] for x in axes) for axes in (axes_a, axes_b))
+        m = m.transpose(axes_a + axes_b + axes_s).reshape(na, nb, *(m.shape[x] for x in axes_s))
+        i, k = 0, 1
+    flat = m[..., None, None]  # one node set, one trial
+    sums = [flat.sum(axis=x, keepdims=True) for x in range(m.ndim)]
+    return float(_pair_deviations(flat, i, k, sums)[0])
 
 
 def conditional_deviation(
@@ -377,15 +381,80 @@ class MarkovReport(NamedTuple):
 
 
 def all_singleton_queries(g: ChainGraph) -> list[CiQuery]:
-    """Every (a _||_ b | S) with singleton a, b and S over the remaining nodes."""
+    """Every (a _||_ b | S) with singleton a, b and S over the remaining nodes.
+
+    Pairs come in node order, a before b; each pair's sets S count up as
+    bitmasks over the remaining nodes in order (see `_query_index`)."""
     names = g.node_names
     out: list[CiQuery] = []
     for i, a in enumerate(names):
+        fa = frozenset((a,))
         for b in names[i + 1 :]:
-            rest = [v for v in names if v not in (a, b)]
-            for mask in range(1 << len(rest)):
-                s = frozenset(rest[k] for k in range(len(rest)) if mask >> k & 1)
-                out.append(CiQuery(frozenset((a,)), frozenset((b,)), s))
+            fb = frozenset((b,))
+            subsets = [frozenset()]
+            for v in names:
+                if v != a and v != b:
+                    subsets += [s | {v} for s in subsets]
+            out.extend(CiQuery(fa, fb, s) for s in subsets)
+    return out
+
+
+def _query_index(n: int, ia: int, ib: int, nodes: int) -> int:
+    """Position in `all_singleton_queries` of a _||_ b | S over ``n`` nodes,
+    where a and b sit at node positions ``ia < ib`` and the bitmask ``nodes``
+    over node positions holds a, b and S."""
+    low = nodes & ((1 << ia) - 1)
+    mid = nodes >> (ia + 1) & ((1 << (ib - ia - 1)) - 1)
+    high = nodes >> (ib + 1)
+    pair = ia * (2 * n - ia - 1) // 2 + ib - ia - 1
+    return pair << (n - 2) | low | mid << ia | high << (ib - 1)
+
+
+def _node_sets(names: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Every set of two or more nodes, as a bitmask over node positions and
+    its nodes in node order."""
+    for mask in range(1 << len(names)):
+        if mask & (mask - 1):
+            yield mask, tuple(v for k, v in enumerate(names) if mask >> k & 1)
+
+
+def _implied(g: ChainGraph, count: int) -> list[bool]:
+    """`implies_ci` of each of the ``count`` queries of `all_singleton_queries`,
+    found by one `separated_pairs` pass per node set."""
+    names = g.node_names
+    rank = {v: k for k, v in enumerate(names)}
+    implied = [False] * count
+    for mask, nodes in _node_sets(names):
+        for a, b in separated_pairs(g, nodes):
+            implied[_query_index(len(names), rank[a], rank[b], mask)] = True
+    return implied
+
+
+class _Block(NamedTuple):
+    shape: tuple[int, ...]  # the domain shape of its node sets
+    node_sets: list[tuple[str, ...]]
+    queries: np.ndarray  # [pair of local axes, node set] -> query index
+
+
+def _blocks(names: Sequence[str], shape: Sequence[int], trials: int) -> list[_Block]:
+    """The node sets of the joint over ``names`` (of this ``shape``), sorted
+    by domain shape into blocks of at most ``MAX_JOINT_CONFIGS >> 7`` entries
+    over ``trials`` trials, or of one set each where one set is larger."""
+    classes: dict[tuple[int, ...], list[tuple[int, tuple[str, ...]]]] = {}
+    for mask, nodes in _node_sets(names):
+        dshape = tuple(d for k, d in enumerate(shape) if mask >> k & 1)
+        classes.setdefault(dshape, []).append((mask, nodes))
+    rank = {v: k for k, v in enumerate(names)}
+    out = []
+    for dshape, sets in classes.items():
+        per = max(1, (MAX_JOINT_CONFIGS >> 7) // (trials * math.prod(dshape)))
+        for start in range(0, len(sets), per):
+            part = sets[start : start + per]
+            queries = [
+                [_query_index(len(names), rank[nodes[i]], rank[nodes[j]], mask) for mask, nodes in part]
+                for i, j in combinations(range(len(dshape)), 2)
+            ]
+            out.append(_Block(dshape, [nodes for _, nodes in part], np.array(queries)))
     return out
 
 
@@ -400,52 +469,54 @@ def check_global_markov(
 
     Each trial draws its own tables; a query's deviation is its largest over
     the trials.  The trials' joints are stacked in chunks of at most
-    ``MAX_JOINT_CONFIGS`` entries, and the queries are grouped by the nodes
-    they mention: per group and chunk one marginal is taken, and
-    `_ci_deviations` scores all of the group's queries on it at once.  It
-    copies same-shaped (trials, A, B, S) views of the marginal into stacked
-    blocks of at most ``MAX_JOINT_CONFIGS >> 7`` entries, so each numpy step
-    of the deviation runs once per block, not once per query.
-    Whether the graph implies a query is `implies_ci`'s answer.
+    ``MAX_JOINT_CONFIGS`` entries.  The queries a _||_ b | U - {a, b} are
+    scored per node set U: the sets of one domain shape take their marginals
+    of the stack into a block of at most ``MAX_JOINT_CONFIGS >> 7`` entries
+    (a larger set gets a block of its own), laid out as (*dims, sets,
+    trials).  For each pair of local axes, `_pair_deviations` scores every
+    set of the block at once, and a query's record follows from its node
+    positions.  Whether the graph implies a query is answered per node set
+    by `separated_pairs`, which equals `implies_ci` on each query.
     """
-    if len(g.node_names) > MAX_MARKOV_NODES:
+    n = len(g.node_names)
+    if n > MAX_MARKOV_NODES:
         raise StateSpaceError(
-            f"global Markov sweep graph has {len(g.node_names)} nodes, over the limit of {MAX_MARKOV_NODES}"
+            f"global Markov sweep graph has {n} nodes, over the limit of {MAX_MARKOV_NODES}"
         )
     if trials < 1:
         raise OracleError("trials must be positive")
     _check_tol(tol)
     e = factorize_chain(g)
+    # factorize_chain lays the joint out in node order (order == g.node_names),
+    # so node positions index both the joint's axes and all_singleton_queries
     order, shape = _joint_shape(e)
     queries = all_singleton_queries(g)
-    groups: dict[frozenset[str], list[int]] = {}
-    for k, q in enumerate(queries):
-        groups.setdefault(q.a | q.b | q.s, []).append(k)
-    implied = [implies_ci(g, q) for q in queries]
+    implied = _implied(g, len(queries))
+    chunk = max(1, MAX_JOINT_CONFIGS // math.prod(shape))
+    blocks = _blocks(order, shape, min(trials, chunk))
 
     max_dev = np.zeros(len(queries))
     seqs = np.random.SeedSequence(seed).spawn(trials)
-    chunk = max(1, MAX_JOINT_CONFIGS // math.prod(shape))
     for start in range(0, trials, chunk):
         part = seqs[start : start + chunk]
         stack = np.empty((len(part),) + shape)
         for i, seq in enumerate(part):
             stack[i] = build_joint(e, assignment_from_rng(e, np.random.default_rng(seq))).table
-        for nodes, ks in groups.items():
-            m_vars, m = _marginal(stack, order, nodes)
-            max_dev[ks] = np.maximum(max_dev[ks], _ci_deviations(m, m_vars, [queries[k] for k in ks]))
+        for block in blocks:
+            k = len(block.shape)
+            flat = np.empty(block.shape + (len(block.node_sets), len(part)))
+            slots = flat.transpose(k, k + 1, *range(k))  # (sets, trials, *dims)
+            for i, nodes in enumerate(block.node_sets):
+                slots[i] = _marginal(stack, order, nodes)[1]
+            sums = [flat.sum(axis=x, keepdims=True) for x in range(k)]
+            devs = [_pair_deviations(flat, i, j, sums) for i, j in combinations(range(k), 2)]
+            max_dev[block.queries] = np.maximum(max_dev[block.queries], devs)
 
     records = tuple(
-        QueryRecord(
-            query=q,
-            implied=imp,
-            max_deviation=float(max_dev[k]),
-            sound=bool((not imp) or max_dev[k] <= tol),
-            dependence_seen=bool(imp or max_dev[k] > dependence_threshold),
-        )
-        for k, (q, imp) in enumerate(zip(queries, implied))
+        QueryRecord(q, imp, dev, (not imp) or dev <= tol, imp or dev > dependence_threshold)
+        for q, imp, dev in zip(queries, implied, max_dev.tolist())
     )
-    return MarkovReport(len(g.node_names), trials, seed, tol, dependence_threshold, records)
+    return MarkovReport(n, trials, seed, tol, dependence_threshold, records)
 
 
 # -- expression equivalence ---------------------------------------------------

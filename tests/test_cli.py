@@ -243,6 +243,17 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+def test_argument_errors_go_to_the_given_err(capsys):
+    code, out, err = invoke("nope")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'nope'" in err and err.startswith("usage: chaingraph")
+    code, out, err = invoke("validate")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: model" in err
+    # nothing reaches the process's own streams
+    assert capsys.readouterr() == ("", "")
+
+
 def test_resource_errors_exit_3():
     # ground coin with N=10 has 11 nodes, one over the sweep's limit
     code, _, err = invoke("oracle", cg("coin"), "--bind", "N=10")

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -27,9 +28,10 @@ from chaingraph import (
     implies_ci,
     marginal_deviation,
     undirected,
+    validate_chain_graph,
 )
 from chaingraph import oracle
-from helpers import random_assignment
+from helpers import random_assignment, random_chain_graph, random_dag, random_mixed
 
 
 def chain(n):
@@ -315,6 +317,30 @@ def _per_trial_sweep(g, trials, seed):
     return [(q, implies_ci(g, q), d) for q, d in zip(queries, max_dev)]
 
 
+def _implied_pass_targets(models):
+    for name, m in sorted(models.items()):
+        if not m.plates and len(m.graph.node_names) <= oracle.MAX_MARKOV_NODES:
+            yield name, m.graph
+    for n in range(3, 8):
+        yield f"coin[N={n}]", expand(models["coin"], {"N": n})
+    for seed in range(3):
+        rng = random.Random(seed)
+        for n in range(2, 10):
+            for make in (random_chain_graph, random_mixed, random_dag):
+                g = make(rng, n)
+                if validate_chain_graph(g).ok:
+                    yield f"{make.__name__}(seed {seed}, {n} nodes)", g
+
+
+def test_implied_pass_equals_implies_ci(models):
+    """The sweep's one `separated_pairs` pass per node set answers every
+    singleton query as `implies_ci` does."""
+    for name, g in _implied_pass_targets(models):
+        queries = all_singleton_queries(g)
+        want = [implies_ci(g, q) for q in queries]
+        assert oracle._implied(g, len(queries)) == want, name
+
+
 def _sweep_targets(models):
     fig2 = models["fig2"].graph
     return {
@@ -330,15 +356,17 @@ def _sweep_targets(models):
 
 
 def _watch_blocks(monkeypatch):
-    """Record (queries, view shape) for every block `_block_deviations` scores."""
+    """Record (node sets, trials, domain shape, (|a|, |b|)) for every pair of
+    local axes `_pair_deviations` scores over a block."""
     blocks = []
-    score = oracle._block_deviations
+    score = oracle._pair_deviations
 
-    def watched(views):
-        blocks.append((len(views), views[0].shape))
-        return score(views)
+    def watched(flat, i, j, sums):
+        *dims, n, t = flat.shape
+        blocks.append((n, t, tuple(dims), (dims[i], dims[j])))
+        return score(flat, i, j, sums)
 
-    monkeypatch.setattr(oracle, "_block_deviations", watched)
+    monkeypatch.setattr(oracle, "_pair_deviations", watched)
     return blocks
 
 
@@ -357,7 +385,7 @@ def _assert_matches_per_trial_loop(g, trials, seed):
 def test_batched_sweep_matches_per_trial_loop(models, monkeypatch, name):
     blocks = _watch_blocks(monkeypatch)
     _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=6, seed=17)
-    pairs = {shape[1:3] for _, shape in blocks if shape[0] == 6}
+    pairs = {ab for _, t, _, ab in blocks if t == 6}
     assert pairs == ({(2, 2), (2, 3), (3, 2), (3, 3)} if name == "fig2[3-state]" else {(2, 2)})
 
 
@@ -374,7 +402,7 @@ def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
     blocks = _watch_blocks(monkeypatch)
     # 600 entries hold two 8-node joints: fig2's trials go in chunks of two.
     # 2^14 entries hold every stack whole, and its block budget of 128
-    # entries splits each group's queries into several stacked blocks.
+    # entries stacks several node sets of one domain shape into a block.
     for limit in (600, 1 << 14):
         monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", limit)
         sizes.clear()
@@ -384,8 +412,8 @@ def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
         if name == "fig2" and limit == 600:
             assert {s[0] for s in sizes if len(s) == 9} == {2, 1}
         budget = limit >> 7
-        assert all(n == 1 or n * np.prod(shape) <= budget for n, shape in blocks)
-        assert any(n > 1 for n, _ in blocks) == (limit > 600)
+        assert all(n == 1 or n * t * np.prod(dims) <= budget for n, t, dims, _ in blocks)
+        assert any(n > 1 for n, _, _, _ in blocks) == (limit > 600)
 
 
 # -- equivalence ----------------------------------------------------------------------
