@@ -312,10 +312,17 @@ class ChainGraph:
         comps = tuple(tuple(c) for c in self._components(self._neighbors.__getitem__))
         component_of = {n: k for k, comp in enumerate(comps) for n in comp}
         parents = self._parents
-        comp_parents = tuple(
-            frozenset(set().union(*(parents[n] for n in comp)).difference(comp)) for comp in comps
-        )
-        return ComponentIndex(comps, component_of, comp_parents)
+        comp_parents = []
+        inner_arcs = False
+        for comp in comps:
+            if len(comp) == 1:  # no self-loops: a lone node's parents lie outside it
+                comp_parents.append(frozenset(parents[comp[0]]))
+                continue
+            ps = set().union(*(parents[n] for n in comp))
+            if not ps.isdisjoint(comp):
+                inner_arcs = True
+            comp_parents.append(frozenset(ps.difference(comp)))
+        return ComponentIndex(comps, component_of, tuple(comp_parents), inner_arcs)
 
     def undirected_components(self) -> list[list[str]]:
         """Connected components under undirected edges only (arcs ignored).
@@ -338,14 +345,11 @@ class ChainGraph:
                 continue
             comp = [start]
             seen.add(start)
-            todo = deque([start])
-            while todo:
-                x = todo.popleft()
+            for x in comp:  # breadth first: the list is its own queue
                 for y in adj(x):
                     if y not in seen:
                         seen.add(y)
                         comp.append(y)
-                        todo.append(y)
             comps.append(comp)
         return comps
 
@@ -382,31 +386,35 @@ class ComponentIndex:
     edges), in discovery order as :meth:`ChainGraph.undirected_components`
     lists them.  ``component_of`` maps each node to its component's
     position and is not to be modified; ``parents[i]`` is the union of the
-    parents of component i's members, minus the component itself."""
+    parents of component i's members, minus the component itself.
+    ``inner_arcs`` says whether some arc joins two members of one
+    component, that is whether a member's parents meet its own component."""
 
     def __init__(
         self,
         components: tuple[tuple[str, ...], ...],
         component_of: dict[str, int],
         parents: tuple[frozenset[str], ...],
+        inner_arcs: bool,
     ) -> None:
         self.components = components
         self.component_of = component_of
         self.parents = parents
+        self.inner_arcs = inner_arcs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComponentIndex):
             return NotImplemented
-        return (self.components, self.component_of, self.parents) == (
-            other.components, other.component_of, other.parents
+        return (self.components, self.component_of, self.parents, self.inner_arcs) == (
+            other.components, other.component_of, other.parents, other.inner_arcs
         )
 
     @cached_property
     def sources(self) -> tuple[frozenset[int], ...]:
         """``sources[j]``: the components holding component j's parents,
         that is the tails of the quotient arcs into j."""
-        comp_of = self.component_of
-        return tuple(frozenset(comp_of[p] for p in ps) for ps in self.parents)
+        comp_of = self.component_of.__getitem__
+        return tuple(frozenset(map(comp_of, ps)) for ps in self.parents)
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -469,13 +477,14 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     index = g.component_index
     comps, comp_of = index.components, index.component_of
 
-    # the witness quotient is built only when Kahn's pass finds a cycle
+    # the arcs are looked at only when one lies inside a component or
+    # Kahn's pass finds a cycle, and the witness quotient only in that case
     quotient: dict[int, dict[int, tuple[str, str]]] = {}
-    if len(index.order) < len(comps):
+    cyclic = len(index.order) < len(comps)
+    if cyclic:
         quotient = {i: {} for i in range(len(comps))}
-    for e in g.edges:
-        if not e.directed:
-            continue
+    arcs = [e for e in g._edges if e.directed] if cyclic or index.inner_arcs else []
+    for e in arcs:
         cu, cv = comp_of[e.u], comp_of[e.v]
         if cu == cv:
             back = g.undirected_path(e.v, e.u)

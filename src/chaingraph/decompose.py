@@ -15,19 +15,24 @@ Three structures are computed here:
 Each block of the master graph is packaged as a conditional subgraph: the
 chain component together with its parents, the parents marked observed.
 No completion edges are added: two parents are adjacent only when the graph
-joins them.
-Its clique structure is read off the parent-extended adjacency, built from
-the graph's cached component index in time proportional to the block and
-its parents; no graph is built per block unless one is asked for.
+joins them.  `block_masks` is the one builder of that parent-extended
+adjacency: it numbers the block and its parents 0..n-1 in node-position
+order and gives each the int bitmask of its neighbours, read straight off
+the graph's parent and neighbour sets in time proportional to the block
+and its parents.  The factorizer hands those masks to the clique kernel
+(`markov.clique_ids`); a conditional subgraph derives its `adjacency` and
+`cliques` from them, built on first use.  No graph is built per block
+unless one is asked for (`ConditionalSubgraph.graph`).  `block_order` is the one emission
+order, and the one place that refuses a cyclic quotient.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import ChainGraph, Edge, GraphError
-from .markov import maximal_cliques
+from .markov import check_clique_bound, clique_ids
 
 
 class Partition:
@@ -82,12 +87,56 @@ def component_subgraphs(g: ChainGraph) -> Partition:
     return Partition.from_blocks(g, blocks)
 
 
+def block_masks(g: ChainGraph, members: Iterable[str], parents: frozenset[str]) -> tuple[tuple[str, ...], list[int]]:
+    """The parent-extended graph of a block with directions dropped, on
+    local ids: the block's members and ``parents`` in node-position order,
+    and for each the bitmask of its neighbours by local id.  A member is
+    adjacent to its parents and neighbours; a parent to the members it
+    points into and to the other parents it shares an edge with.  Edges
+    are read from the head's side (a node's parents and neighbours), so a
+    hub parent's children outside the block are never looked at."""
+    nodes = g.sorted_nodes((*members, *parents))
+    local = {n: i for i, n in enumerate(nodes)}
+    masks = [0] * len(nodes)
+    g_parents, g_neighbors = g._parents, g._neighbors
+    for x in members:
+        i = local[x]
+        m = masks[i]
+        for y in g_neighbors[x]:
+            m |= 1 << local[y]
+        for p in g_parents[x]:
+            j = local[p]
+            m |= 1 << j
+            masks[j] |= 1 << i
+        masks[i] = m
+    for p in parents:
+        j = local[p]
+        for q in g_parents[p]:
+            if q in parents:
+                k = local[q]
+                masks[j] |= 1 << k
+                masks[k] |= 1 << j
+        for q in g_neighbors[p]:
+            if q in parents:
+                masks[j] |= 1 << local[q]
+    return nodes, masks
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 class ConditionalSubgraph:
     """One chain component of ``source`` extended with its parents.
 
     ``flavor`` is ``"undirected"`` for a component of two or more nodes and
     ``"directed"`` for a single node.  ``parent_nodes`` is the component's
-    cached parent set.
+    cached parent set.  The block's adjacency map and cliques come from its
+    :func:`block_masks`, built on first use.
     """
 
     def __init__(
@@ -97,6 +146,10 @@ class ConditionalSubgraph:
         self.parent_nodes = parent_nodes
         self.flavor = flavor  # "directed" | "undirected"
         self.source = source
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[str, ...], list[int]]:
+        return block_masks(self.source, self.own_nodes, self.parent_nodes)
 
     @cached_property
     def graph(self) -> ChainGraph:
@@ -109,7 +162,7 @@ class ConditionalSubgraph:
         arcs = self.flavor == "directed"
         attrs = {n: g.attr(n)._replace(observed=True) if n in parents else g.attr(n) for n in nodes}
         edges = []
-        for v in nodes:  # from the head's side, as in adjacency()
+        for v in nodes:  # from the head's side, as in block_masks
             edges.extend(Edge(u, v, arcs) for u in g._parents[v] & keep)
             edges.extend(Edge(u, v, False) for u in g._neighbors[v] & keep if u < v)
         return ChainGraph(attrs, edges)
@@ -120,56 +173,56 @@ class ConditionalSubgraph:
 
     def adjacency(self) -> dict[str, set[str]]:
         """The parent-extended graph with directions dropped, as an
-        adjacency map over members and parents.  A member is adjacent to
-        its parents and neighbours; a parent to the members it points into
-        and to the other parents it shares an edge with.  Edges are found
-        from the head's side (a node's parents and neighbours), so a hub
-        parent's children outside the block are never looked at.  The
-        graph's own adjacency sets are read, not copied."""
-        g, parents = self.source, self.parent_nodes
-        g_parents, g_neighbors = g._parents, g._neighbors
-        adj: dict[str, set[str]] = {p: set() for p in parents}
-        for x in self.own_nodes:
-            adj[x] = set(g_neighbors[x])
-        for x in self.own_nodes:
-            for p in g_parents[x]:
-                adj[x].add(p)
-                adj[p].add(x)
-        for p in parents:
-            for q in (g_parents[p] | g_neighbors[p]) & parents:
-                adj[p].add(q)
-                adj[q].add(p)
-        return adj
+        adjacency map over members and parents, read off the masks."""
+        nodes, masks = self._masks
+        return {n: {nodes[j] for j in _bits(m)} for n, m in zip(nodes, masks)}
 
     def cliques(self) -> list[frozenset[str]]:
         """Maximal cliques of the parent-extended graph, canonically ordered."""
-        return maximal_cliques(self.adjacency(), self.source.index)
+        check_clique_bound(len(self.own_nodes) + len(self.parent_nodes))
+        nodes, masks = self._masks
+        return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks)]
 
 
 class MasterGraph:
-    """Conditional subgraphs in topological order plus the quotient arcs."""
+    """The chain components of ``source`` in emission order (``order``, by
+    position in its component index): their node sets, their conditional
+    subgraphs and the quotient arcs between them, each built on first use."""
 
-    __slots__ = ("subgraphs", "edges")
+    def __init__(self, source: ChainGraph, order: tuple[int, ...]) -> None:
+        self.source = source
+        self.order = order
 
-    def __init__(self, subgraphs: tuple[ConditionalSubgraph, ...], edges: tuple[tuple[int, int], ...]) -> None:
-        self.subgraphs = subgraphs
-        self.edges = edges
-
-    @property
+    @cached_property
     def blocks(self) -> tuple[frozenset[str], ...]:
-        return tuple(s.own_nodes for s in self.subgraphs)
+        comps = self.source.component_index.components
+        return tuple(frozenset(comps[k]) for k in self.order)
+
+    @cached_property
+    def subgraphs(self) -> tuple[ConditionalSubgraph, ...]:
+        g = self.source
+        parents = g.component_index.parents
+        return tuple(
+            ConditionalSubgraph(own, parents[k], "undirected" if len(own) > 1 else "directed", g)
+            for k, own in zip(self.order, self.blocks)
+        )
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) for each quotient arc from block i to block j, sorted."""
+        position = [0] * len(self.order)
+        for new, old in enumerate(self.order):
+            position[old] = new
+        sources = self.source.component_index.sources
+        return tuple(sorted((position[i], position[j]) for j, src in enumerate(sources) for i in src))
 
 
-def master_graph(g: ChainGraph) -> MasterGraph:
-    """Quotient the graph over its chain components.
-
-    An arc runs from component U to component V when some member of U is a
-    parent of a member of V.  Components come in the cached Kahn order of
-    :attr:`ComponentIndex.order`, which takes the ready component declared
-    first, so blocks keep declaration order wherever the arcs allow.  For a
-    valid chain graph the quotient is a DAG; a cycle in it is a
-    semi-directed cycle and raises GraphError.
-    """
+def block_order(g: ChainGraph) -> tuple[int, ...]:
+    """The positions of the chain components in emission order: the cached
+    Kahn order of :attr:`ComponentIndex.order`, which takes the ready
+    component declared first, so blocks keep declaration order wherever the
+    arcs allow.  For a valid chain graph the quotient is a DAG; a cycle in
+    it is a semi-directed cycle and raises GraphError."""
     index = g.component_index
     comps, emit = index.components, index.order
     if len(emit) != len(comps):
@@ -181,18 +234,17 @@ def master_graph(g: ChainGraph) -> MasterGraph:
             "chain components admit no topological order (the graph has a "
             f"semi-directed cycle, so it is no chain graph); left unordered: {names}"
         )
+    return emit
 
-    position = [0] * len(comps)
-    for new, old in enumerate(emit):
-        position[old] = new
-    subs = tuple(
-        ConditionalSubgraph(
-            frozenset(comps[k]), index.parents[k], "undirected" if len(comps[k]) > 1 else "directed", g
-        )
-        for k in emit
-    )
-    edges = tuple(sorted((position[i], position[j]) for j, src in enumerate(index.sources) for i in src))
-    return MasterGraph(subs, edges)
+
+def master_graph(g: ChainGraph) -> MasterGraph:
+    """Quotient the graph over its chain components, in the order of
+    :func:`block_order`.
+
+    An arc runs from component U to component V when some member of U is a
+    parent of a member of V.
+    """
+    return MasterGraph(g, block_order(g))
 
 
 def conditional_subgraphs(g: ChainGraph) -> list[ConditionalSubgraph]:

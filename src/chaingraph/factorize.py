@@ -13,10 +13,15 @@ A factorization is an ordered product of terms:
 * ``delta`` -- delta(x | parents) for a deterministic node.
 
 Every product comes from one rule: terms are emitted one chain component
-at a time, in the master graph's topological order (among components whose
-parents are all emitted, the one declared first goes next); within an
-undirected block the normalizer comes first, then potentials in canonical
-clique order.  Potential labels count up globally through the expression.
+at a time, in the master graph's topological order (`decompose.block_order`:
+among components whose parents are all emitted, the one declared first
+goes next); within an undirected block the normalizer comes first, then
+potentials in canonical clique order.  Potential labels count up globally
+through the expression.  `_block_terms` makes one pass over the cached
+component index in that order, with no conditional subgraph per block: a
+single node emits its conditional or delta directly, and an undirected
+block runs the clique kernel on its `decompose.block_masks`, whose
+ascending local ids already give each clique's members in node order.
 A DAG is the case where every component is a single node, so its product
 is one p(x | parents(x)) per node in that same order, and `plates` places
 these same terms inside nested plate products.  `factorize_undirected` is
@@ -33,8 +38,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import ChainGraph, Edge, GraphError
-from .decompose import ConditionalSubgraph, master_graph
-from .markov import UndirectedGraph, max_cliques
+from .decompose import block_masks, block_order
+from .markov import UndirectedGraph, check_clique_bound, clique_ids, max_cliques
 
 
 class FactorError(ValueError):
@@ -148,53 +153,56 @@ def factorize_undirected(g: ChainGraph) -> FactorExpression:
     return FactorExpression(items=tuple(terms), **_metadata(g))
 
 
-def _subgraph_terms(
-    g: ChainGraph, sub: ConditionalSubgraph, start_label: int, group: int
+def _undirected_terms(
+    g: ChainGraph, comp: tuple[str, ...], parents: frozenset[str], start_label: int, group: int
 ) -> tuple[list[FactorTerm], int]:
-    """Terms for one conditional subgraph; returns the next free label."""
-    y = g.sorted_nodes(sub.parent_nodes)
-    if sub.flavor == "directed":
-        (x,) = sub.own_nodes
-        kind = "delta" if g.attr(x).deterministic else "conditional"
-        return [FactorTerm(kind, head=(x,), given=y)], start_label
-
-    member_cliques = [c for c in sub.cliques() if not c <= sub.parent_nodes]
-
-    if not y and len(member_cliques) == 1:
-        head = g.sorted_nodes(member_cliques[0])
-        return [FactorTerm("conditional", head=head)], start_label
+    """Terms for a chain component of two or more nodes: its normalizer,
+    then one potential per maximal clique of its parent-extended graph that
+    is not inside the parents.  Returns the next free label."""
+    check_clique_bound(len(comp) + len(parents))
+    nodes, masks = block_masks(g, comp, parents)
+    name = nodes.__getitem__  # ids ascend, so each clique's members come in node order
+    cliques = [c for ids in clique_ids(masks) if not parents.issuperset(c := tuple(map(name, ids)))]
+    if not parents and len(cliques) == 1:
+        return [FactorTerm("conditional", cliques[0])], start_label
 
     label = start_label
-    if y:
-        terms = [FactorTerm("normalizer", given=y, label=f"f_{label}", group=group)]
+    if parents:
+        y = tuple(filter(parents.__contains__, nodes))
+        terms = [FactorTerm("normalizer", (), y, f"f_{label}", group)]
         label += 1
     else:
         # no parents to range over: this is the plain partition function
-        terms = [FactorTerm("normalizer", label="Z", group=group)]
-    for c in member_cliques:
-        terms.append(
-            FactorTerm("potential", given=g.sorted_nodes(c), label=f"f_{label}", group=group)
-        )
-        label += 1
-    return terms, label
+        terms = [FactorTerm("normalizer", (), (), "Z", group)]
+    terms += [FactorTerm("potential", (), c, f"f_{k}", group) for k, c in enumerate(cliques, label)]
+    return terms, label + len(cliques)
 
 
-def _block_terms(g: ChainGraph) -> Iterator[tuple[ConditionalSubgraph, FactorTerm]]:
-    """Every term of the chain-component product with the block it belongs
-    to, in the master graph's order.  Potential labels count up across
-    blocks; the normalizers of parentless blocks are numbered Z_0, Z_1, ...
-    when there are two or more of them, so that term names stay unique."""
-    pairs: list[tuple[ConditionalSubgraph, FactorTerm]] = []
+def _block_terms(g: ChainGraph) -> list[tuple[tuple[str, ...], list[FactorTerm]]]:
+    """Each chain component with its terms, in one pass over the components
+    in :func:`block_order`.  A single node gives its conditional or delta
+    directly.  Potential labels count up across blocks; the normalizers of
+    parentless blocks are numbered Z_0, Z_1, ... when there are two or more
+    of them, so that term names stay unique."""
+    index = g.component_index
+    comps, comp_parents, attrs, position = index.components, index.parents, g._attrs, g._index.__getitem__
+    blocks: list[tuple[tuple[str, ...], list[FactorTerm]]] = []
+    zs: list[list[FactorTerm]] = []  # the term lists that open with Z
     label = 0
-    for group, sub in enumerate(master_graph(g).subgraphs):
-        terms, label = _subgraph_terms(g, sub, label, group)
-        pairs.extend((sub, t) for t in terms)
-    zs = [i for i, (_, t) in enumerate(pairs) if t.kind == "normalizer" and not t.given]
+    for group, k in enumerate(block_order(g)):
+        comp, parents = comps[k], comp_parents[k]
+        if len(comp) == 1:
+            kind = "delta" if attrs[comp[0]].deterministic else "conditional"
+            blocks.append((comp, [FactorTerm(kind, comp, tuple(sorted(parents, key=position)))]))
+            continue
+        terms, label = _undirected_terms(g, comp, parents, label, group)
+        if terms[0].label == "Z":
+            zs.append(terms)
+        blocks.append((comp, terms))
     if len(zs) > 1:
-        for k, i in enumerate(zs):
-            sub, t = pairs[i]
-            pairs[i] = (sub, t._replace(label=f"Z_{k}"))
-    yield from pairs
+        for n, terms in enumerate(zs):
+            terms[0] = terms[0]._replace(label=f"Z_{n}")
+    return blocks
 
 
 def factorize_chain(g: ChainGraph) -> FactorExpression:
@@ -202,7 +210,7 @@ def factorize_chain(g: ChainGraph) -> FactorExpression:
     its parents, in master-graph topological order.  A DAG is the case
     where every component is a single node: one p(x | parents(x)) each.
     Observedness is ignored: the product is the full joint."""
-    terms = tuple(t for _, t in _block_terms(g))
+    terms = tuple(t for _, block in _block_terms(g) for t in block)
     return FactorExpression(items=terms, **_metadata(g))
 
 

@@ -10,20 +10,29 @@ node x in it are read off the graph and its cached component index --
 x's neighbours and parents, and each child c of x in the set together
 with the parents of c's component.  A walk from A that stops at S then
 either reaches B or not.  For a purely directed graph the same procedure
-degenerates to classic moralization of parents.  `moralize_chain` builds
-the whole moral graph explicitly, and `separates` tests separation in it.
+degenerates to classic moralization of parents.  `moral_adjacency` applies
+the same rule to a whole node set at once: `moralize_chain` builds the
+whole moral graph from it, with no edge list in between, and
+`separated_pairs` reads the one of an anterior set; `separates` tests
+separation in an explicit graph.
 
-The module also hosts the maximal-clique enumeration used by the
-factorizer, and the two conditional-model simplifications: deleting arcs
-into fully-observed nodes, and deleting edges between observed nodes whose
-common neighbors are all observed.
+The module also hosts the one maximal-clique kernel, `clique_ids`:
+Bron-Kerbosch with Tomita pivoting over int bitmasks.  Its callers number
+the nodes 0..n-1 in node-position order and give each node the bitmask of
+its neighbours, so a clique's ascending ids are its members in canonical
+order, and the sorted id tuples are the canonical clique order.
+`maximal_cliques` (and `max_cliques` over an `UndirectedGraph`) builds the
+masks from an adjacency map; a block of the master graph passes the masks
+that `decompose.block_masks` builds.  Every caller checks the node bound
+before any mask is built.  Last come the two conditional-model
+simplifications: deleting arcs into fully-observed nodes, and deleting
+edges between observed nodes whose common neighbors are all observed.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import ChainGraph, Edge, GraphError
 
@@ -123,6 +132,14 @@ class UndirectedGraph:
             adj[v].add(u)
         self._adj = adj
 
+    @classmethod
+    def _trusted(cls, nodes: tuple[str, ...], index: dict[str, int], adj: dict[str, set[str]]) -> "UndirectedGraph":
+        """The graph of a symmetric adjacency map over ``nodes``, taken as
+        it is; ``index`` maps each node to its position."""
+        ug = cls.__new__(cls)
+        ug._nodes, ug._index, ug._adj = nodes, index, adj
+        return ug
+
     @property
     def node_names(self) -> tuple[str, ...]:
         return self._nodes
@@ -160,13 +177,34 @@ class UndirectedGraph:
         return len(self._nodes)
 
 
+def moral_adjacency(g: ChainGraph, within: Collection[str]) -> dict[str, set[str]]:
+    """The moral graph of the nodes ``within`` (a union of whole chain
+    components holding their parents, such as an anterior set, or the whole
+    graph) as an adjacency map, read off ``g`` and its cached component
+    index: a node's moral neighbours are its neighbours and parents, and
+    each child c inside with the parents of c's component when c lies in
+    another component.  The same rule as `implies_ci`'s walk."""
+    index = g.component_index
+    comp_of, comp_parents = index.component_of, index.parents
+    parents, children, neighbors = g._parents, g._children, g._neighbors
+    moral: dict[str, set[str]] = {}
+    for x in within:
+        adj = moral[x] = neighbors[x] | parents[x]
+        own = comp_of[x]
+        for c in children[x]:
+            if c in within:
+                adj.add(c)
+                if comp_of[c] != own:
+                    adj |= comp_parents[comp_of[c]]
+        adj.discard(x)
+    return moral
+
+
 def moralize_chain(g: ChainGraph) -> UndirectedGraph:
     """Join every two nodes with children in a common chain component,
-    then drop all arc directions."""
-    edges = [(e.u, e.v) for e in g.edges]
-    for ps in g.component_index.parents:
-        edges.extend(combinations(ps, 2))
-    return UndirectedGraph(g.node_names, edges)
+    then drop all arc directions.  Built straight from the graph's sets by
+    `moral_adjacency`; no edge list is made."""
+    return UndirectedGraph._trusted(g.node_names, g._index, moral_adjacency(g, g._attrs))
 
 
 def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list[frozenset[str]]:
@@ -178,6 +216,15 @@ def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list
     return maximal_cliques(ug._adj, ug._index.__getitem__, node_bound)
 
 
+def check_clique_bound(n: int, node_bound: int = MAX_CLIQUE_NODES) -> None:
+    """Refuse a clique search over ``n`` nodes when that is more than
+    ``node_bound``; called before anything is built for the search."""
+    if n > node_bound:
+        raise CliqueBoundError(
+            f"clique enumeration graph has {n} nodes, over the limit of {node_bound}"
+        )
+
+
 def maximal_cliques(
     adj: Mapping[str, AbstractSet[str]],
     position: Callable[[str], int],
@@ -185,37 +232,65 @@ def maximal_cliques(
 ) -> list[frozenset[str]]:
     """The maximal cliques of the graph given by a symmetric adjacency map,
     sorted by their members' positions.  :func:`max_cliques` is this over
-    an :class:`UndirectedGraph`; ``ConditionalSubgraph.cliques`` passes a
-    block's parent-extended adjacency directly."""
-    if len(adj) > node_bound:
-        raise CliqueBoundError(
-            f"clique enumeration graph has {len(adj)} nodes, over the limit of {node_bound}"
-        )
-    out: list[frozenset[str]] = []
+    an :class:`UndirectedGraph`; ``ConditionalSubgraph.cliques`` runs the
+    same kernel, `clique_ids`, on a block's parent-extended masks."""
+    check_clique_bound(len(adj), node_bound)
+    nodes = sorted(adj, key=position)
+    local = {n: i for i, n in enumerate(nodes)}
+    masks = []
+    for i, n in enumerate(nodes):
+        m = 0
+        for y in adj[n]:
+            m |= 1 << local[y]
+        masks.append(m & ~(1 << i))
+    return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks)]
 
-    def expand(r: list[str], p: set[str], x: set[str]) -> None:
+
+def clique_ids(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """The maximal cliques of the graph on local ids 0..n-1 whose node i
+    has neighbour bitmask ``masks[i]`` (symmetric, no self bits), each as
+    its ids in ascending order, the cliques sorted.
+
+    Bron-Kerbosch with Tomita pivoting: the candidates and the excluded
+    nodes are bitmasks, and each call branches only on the candidates not
+    adjacent to the pivot, the node of candidates or excluded with the
+    most candidate neighbours.  With ids numbered in node-position order,
+    ascending ids are the canonical member order and the sorted list is
+    the canonical clique order."""
+    found: list[tuple[int, ...]] = []
+
+    def expand(r: tuple[int, ...], p: int, x: int) -> None:
         # r: the clique so far; p: its candidates; x: those already tried
-        if not p:
-            if not x:
-                out.append(frozenset(r))
-            return
-        best = -1
-        for u in (*p, *x):  # the pivot keeps most candidates out of the loop
-            k = len(adj[u] & p)
+        best, pivot, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            k = (p & masks[u]).bit_count()
             if k > best:
                 best, pivot = k, u
-        for v in p - adj[pivot]:
-            nv = adj[v]
-            r.append(v)
-            expand(r, p & nv, x & nv)
-            r.pop()
-            p.remove(v)
-            x.add(v)
+        branch = p & ~masks[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            nv = masks[v]
+            pv = p & nv
+            if pv & (pv - 1):
+                expand(r + (v,), pv, x & nv)
+            elif pv:  # one candidate w left: r + v + w is maximal unless x extends it
+                w = pv.bit_length() - 1
+                if not x & nv & masks[w]:
+                    found.append(tuple(sorted(r + (v, w))))
+            elif not x & nv:  # nothing left to add or to exclude: maximal
+                found.append(tuple(sorted(r + (v,))))
+            p ^= low
+            x |= low
 
-    if adj:
-        expand([], set(adj), set())
-    out.sort(key=lambda c: sorted(map(position, c)))
-    return out
+    if masks:
+        expand((), (1 << len(masks)) - 1, 0)
+    found.sort()
+    return found
 
 
 def separates(ug: UndirectedGraph, q: CiQuery) -> bool:
@@ -275,33 +350,19 @@ def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
     return True
 
 
-def separated_pairs(g: ChainGraph, nodes: Iterable[str]) -> list[tuple[str, str]]:
-    """The pairs (a, b) of ``nodes``, a before b in ``g``'s node order, for
-    which ``implies_ci(g, a _||_ b | nodes - {a, b})`` holds, all found in
-    one pass.
+def separated_pairs(members: Sequence[str], moral: Mapping[str, AbstractSet[str]]) -> list[tuple[str, str]]:
+    """The pairs (a, b) of ``members`` (a node set in node order), a before
+    b, for which ``implies_ci(g, a _||_ b | members - {a, b})`` holds, all
+    found in one pass.  ``moral`` is ``moral_adjacency(g, An(members))``:
+    every such query has the anterior set An(members), so node sets with
+    one anterior set can share it.
 
-    Every such query has the same anterior set An(nodes), so its moral
-    adjacency is read once, as `implies_ci` reads it.  A path from a to b
-    that avoids the rest of ``nodes`` is the edge a - b or runs through
-    An(nodes) - nodes alone: a and b are separated iff they are not moral
-    neighbours and touch no common component of the moral graph on
-    An(nodes) - nodes.
+    A path from a to b that avoids the rest of ``members`` is the edge
+    a - b or runs through An(members) - members alone: a and b are
+    separated iff they are not moral neighbours and touch no common
+    component of the moral graph on An(members) - members.
     """
-    members = g.sorted_nodes(set(nodes))
-    anterior = g.ancestors_chain(members)
-    index = g.component_index
-    comp_of, comp_parents = index.component_of, index.parents
-    parents, children, neighbors = g._parents, g._children, g._neighbors
-    moral: dict[str, set[str]] = {}
-    for x in anterior:
-        adj = moral[x] = set(neighbors[x])
-        adj.update(parents[x])
-        for c in children[x]:
-            if c in anterior:
-                adj.add(c)
-                adj.update(comp_parents[comp_of[c]])
-        adj.discard(x)
-    rest = anterior.difference(members)
+    rest = moral.keys() - set(members)
     label: dict[str, str] = {}  # each node of the rest -> a root of its component
     for root in rest:
         if root in label:

@@ -39,7 +39,7 @@ from .factorize import (
     PlateProduct,
     factorize_chain,
 )
-from .markov import CiQuery, implies_ci, separated_pairs  # noqa: F401  (implies_ci re-exported)
+from .markov import CiQuery, implies_ci, moral_adjacency, separated_pairs  # noqa: F401  (implies_ci re-exported)
 
 MAX_JOINT_CONFIGS = 1 << 20
 MAX_MARKOV_NODES = 10
@@ -420,12 +420,17 @@ def _node_sets(names: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
 
 def _implied(g: ChainGraph, count: int) -> list[bool]:
     """`implies_ci` of each of the ``count`` queries of `all_singleton_queries`,
-    found by one `separated_pairs` pass per node set."""
+    found by one `separated_pairs` pass per node set.  The moral adjacency
+    of an anterior set is built once, for the first node set that has it."""
     names = g.node_names
     rank = {v: k for k, v in enumerate(names)}
     implied = [False] * count
+    moral: dict[frozenset[str], dict[str, set[str]]] = {}
     for mask, nodes in _node_sets(names):
-        for a, b in separated_pairs(g, nodes):
+        anterior = g.ancestors_chain(nodes)
+        if anterior not in moral:
+            moral[anterior] = moral_adjacency(g, anterior)
+        for a, b in separated_pairs(nodes, moral[anterior]):
             implied[_query_index(len(names), rank[a], rank[b], mask)] = True
     return implied
 

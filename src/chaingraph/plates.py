@@ -353,10 +353,14 @@ def _symbolic_expression(m: PlateModel) -> FactorExpression:
     # cross a plate boundary, so a block's members share their plates), keyed
     # by its emission position, which orders the terms as their blocks are
     placed: dict[str | None, list[tuple[int, Item]]] = {}
-    for pos, (sub, t) in enumerate(_block_terms(g)):
-        chain = m.membership(next(iter(sub.own_nodes)))
-        renamed = t._replace(head=tuple(rename[v] for v in t.head), given=tuple(rename[v] for v in t.given))
-        placed.setdefault(chain[-1].name if chain else None, []).append((pos, renamed))
+    pos = 0
+    for comp, terms in _block_terms(g):
+        chain = m.membership(comp[0])
+        here = placed.setdefault(chain[-1].name if chain else None, [])
+        for t in terms:
+            head, given = tuple(rename[v] for v in t.head), tuple(rename[v] for v in t.given)
+            here.append((pos, t._replace(head=head, given=given)))
+            pos += 1
 
     def build(p: Plate | None) -> list[tuple[int, Item]]:
         """The terms in p and a product for each nested plate that holds

@@ -10,6 +10,7 @@ import pytest
 
 from chaingraph import corpus, to_dot
 from chaingraph.cli import run
+from chaingraph.markov import MAX_CLIQUE_NODES
 
 
 MODELS = Path(__file__).resolve().parent.parent / "src" / "chaingraph" / "models"
@@ -259,6 +260,17 @@ def test_resource_errors_exit_3():
     code, _, err = invoke("oracle", cg("coin"), "--bind", "N=10")
     assert code == 3
     assert "has 11 nodes, over the limit of 10" in err
+
+
+@pytest.mark.parametrize("command", ["factorize", "cliques"])
+def test_block_over_the_clique_bound_exits_3(tmp_path, command):
+    n = MAX_CLIQUE_NODES + 1
+    path = tmp_path / "long.cg"
+    body = "".join(f"    node x{i};\n" for i in range(n)) + "".join(f"    x{i} -- x{i + 1};\n" for i in range(n - 1))
+    path.write_text("model long {\n" + body + "}\n", encoding="utf-8")
+    code, out, err = invoke(command, str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: clique enumeration graph has {n} nodes, over the limit of {MAX_CLIQUE_NODES}\n"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from helpers import (
     has_semi_directed_cycle,
     is_closed_semi_directed_walk,
     random_chain_graph,
+    random_dag,
     random_mixed,
 )
 
@@ -144,6 +145,9 @@ def test_component_index():
     assert index.parents == (frozenset(), frozenset("b"), frozenset("ac"), frozenset("e"))
     for comp, ps in zip(index.components, index.parents):
         assert ps == g.parents_of_set(comp)
+    assert not index.inner_arcs
+    inner = ChainGraph(["a", "b", "c"], [undirected("a", "b"), undirected("b", "c"), directed("a", "c")])
+    assert inner.component_index.inner_arcs
 
 
 # -- validation ----------------------------------------------------------------
@@ -213,6 +217,56 @@ def test_validator_agrees_with_brute_force_sample():
         )
         got = any(v.kind == "semi-directed-cycle" for v in validate_chain_graph(g).errors)
         assert got == expect, f"nodes={g.node_names} edges={g.edges}"
+
+
+def _report_key(report):
+    return [tuple(v) for v in report.errors], report.warnings
+
+
+def _full_path_report(g):
+    """`validate_chain_graph` with its per-arc loop forced on, as it ran on
+    every graph before valid graphs could skip it."""
+    h = ChainGraph(g.attrs(), g.edges)
+    h.component_index.inner_arcs = True
+    return validate_chain_graph(h)
+
+
+def _has_inner_arc(g):
+    comp = {x: k for k, c in enumerate(g.undirected_components()) for x in c}
+    return any(e.directed and comp[e.u] == comp[e.v] for e in g.edges)
+
+
+def test_validation_skips_the_arc_loop_only_where_it_finds_nothing():
+    rng = random.Random(1414)
+    graphs = [
+        # an arc inside a chain component
+        ChainGraph(["a", "b", "c"], [undirected("a", "b"), undirected("b", "c"), directed("a", "c")]),
+        # a cyclic quotient: {a, b} -> c -> {d, e} -> a
+        ChainGraph(
+            ["a", "b", "c", "d", "e"],
+            [undirected("a", "b"), directed("b", "c"), directed("c", "d"), undirected("d", "e"), directed("e", "a")],
+        ),
+        # a det node without parents
+        ChainGraph({"a": NodeAttr(deterministic=True), "b": NodeAttr()}, [undirected("a", "b")]),
+    ]
+    for make in (random_chain_graph, random_mixed, random_dag):
+        for _ in range(60):
+            g = make(rng, rng.randint(2, 12))
+            dets = {x: NodeAttr(deterministic=True, observed=rng.random() < 0.3) for x in g.node_names if rng.random() < 0.2}
+            graphs.append(g.with_attrs(dets))
+    seen = {"inner": 0, "cyclic": 0, "det": 0, "ok": 0}
+    for g in graphs:
+        index = g.component_index
+        assert index.inner_arcs == _has_inner_arc(g)
+        report = validate_chain_graph(g)
+        assert _report_key(report) == _report_key(_full_path_report(g))
+        cyclic = any(v.kind == "semi-directed-cycle" for v in report.errors)
+        assert cyclic == has_semi_directed_cycle(g.node_names, [(e.u, e.v, e.directed) for e in g.edges])
+        seen["inner"] += index.inner_arcs
+        seen["cyclic"] += len(index.order) < len(index.components)
+        seen["det"] += any(v.kind == "deterministic-without-parents" for v in report.errors)
+        seen["ok"] += report.ok
+    assert min(seen.values()) >= 10, seen
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from chaingraph import (
     ChainGraph,
+    CliqueBoundError,
     FactorError,
     FactorTerm,
     GraphError,
@@ -13,11 +15,14 @@ from chaingraph import (
     eliminate_deterministic,
     factorize_chain,
     factorize_undirected,
+    master_graph,
     render,
     render_term,
     undirected,
 )
-from helpers import random_dag, same_graph
+from chaingraph.factorize import _block_terms
+from chaingraph.markov import MAX_CLIQUE_NODES
+from helpers import random_chain_graph, random_dag, random_mixed, same_graph
 
 
 # -- whole-corpus golden renders -------------------------------------------------
@@ -158,6 +163,80 @@ def test_dag_declared_in_topological_order_keeps_declaration_order():
     for _ in range(30):
         g = random_dag(rng, rng.randint(1, 12))
         assert [t.head for t in factorize_chain(g).terms] == [(x,) for x in g.node_names]
+
+
+def _brute_force_cliques(g, nodes):
+    """The maximal complete sets of the graph induced on ``nodes`` (in node
+    order), in canonical order."""
+    complete = [
+        c
+        for k in range(1, len(nodes) + 1)
+        for c in combinations(nodes, k)
+        if all(g.has_edge(u, v) for u, v in combinations(c, 2))
+    ]
+    maximal = [c for c in complete if not any(set(c) < set(d) for d in complete)]
+    return sorted(maximal, key=lambda c: [g.index(x) for x in c])
+
+
+def test_blocks_equal_brute_force_cliques():
+    """Each block's parent-extended graph is the graph induced on the block
+    and its parents (a member's arc into its parents would close a cycle in
+    the quotient).  The block's views of it and its potentials, the maximal
+    cliques not inside the parents, match that induced graph."""
+    rng = random.Random(1406)
+    graphs = []
+    for make in (random_chain_graph, random_mixed, random_dag):
+        for _ in range(80):
+            g = make(rng, rng.randint(2, 12), p=rng.choice((0.2, 0.4, 0.6)))
+            try:
+                graphs.append((g, master_graph(g)))
+            except GraphError:
+                continue  # a cyclic quotient has no product
+    blocks = 0
+    for g, mg in graphs:
+        for sub, (comp, terms) in zip(mg.subgraphs, _block_terms(g), strict=True):
+            parents = g.parents_of_set(comp)
+            assert sub.own_nodes == set(comp) and sub.parent_nodes == parents
+            nodes = [x for x in g.node_names if x in sub.own_nodes or x in parents]
+            assert sub.adjacency() == {x: {y for y in nodes if g.has_edge(x, y)} for x in nodes}
+            assert sub.graph.node_names == tuple(nodes)
+            assert {frozenset((e.u, e.v)) for e in sub.graph.edges} == {
+                frozenset(p) for p in combinations(nodes, 2) if g.has_edge(*p)
+            }
+            cliques = _brute_force_cliques(g, nodes)
+            assert sub.cliques() == [frozenset(c) for c in cliques]
+            if len(comp) == 1:
+                (x,) = comp
+                assert [(t.kind, t.head, t.given) for t in terms] == [("conditional", (x,), g.sorted_nodes(parents))]
+                continue
+            blocks += 1
+            want = [c for c in cliques if not set(c) <= parents]
+            if terms[0].kind == "conditional":
+                assert not parents and [terms[0].head] == want
+            else:
+                assert terms[0].kind == "normalizer" and terms[0].given == g.sorted_nodes(parents)
+                assert [t.given for t in terms[1:]] == want
+                assert all(t.kind == "potential" for t in terms[1:])
+    assert blocks >= 100, blocks
+
+
+def test_block_over_the_clique_bound_is_refused_before_its_masks(monkeypatch):
+    from chaingraph import decompose, factorize
+
+    def no_masks(*args):
+        raise AssertionError("masks built for a block over the bound")
+
+    monkeypatch.setattr(factorize, "block_masks", no_masks)
+    monkeypatch.setattr(decompose, "block_masks", no_masks)
+    names = [f"x{i}" for i in range(MAX_CLIQUE_NODES + 1)]
+    g = ChainGraph(names, [undirected(u, v) for u, v in zip(names, names[1:])])
+    msg = f"clique enumeration graph has {MAX_CLIQUE_NODES + 1} nodes, over the limit of {MAX_CLIQUE_NODES}"
+    with pytest.raises(CliqueBoundError) as err:
+        factorize_chain(g)
+    assert str(err.value) == msg
+    (block,) = master_graph(g).subgraphs
+    with pytest.raises(CliqueBoundError):
+        block.cliques()
 
 
 # -- conditioning ----------------------------------------------------------------

@@ -21,6 +21,7 @@ from chaingraph import (
     simplify_conditional_undirected,
     undirected,
 )
+from chaingraph.markov import MAX_CLIQUE_NODES, maximal_cliques
 from helpers import (
     d_connected,
     edge_triples,
@@ -112,13 +113,19 @@ def _components_by_union_find(g):
 def test_moralize_chain_equals_parents_of_set_per_component(seed):
     rng = random.Random(seed)
     for n in range(2, 10):
-        for make in (random_chain_graph, random_mixed):
+        for make in (random_chain_graph, random_mixed, random_dag):
             g = make(rng, n)
             want = {frozenset((e.u, e.v)) for e in g.edges}
             for comp in _components_by_union_find(g):
                 want |= {frozenset(p) for p in combinations(g.parents_of_set(comp), 2)}
-            got = moralize_chain(g).edge_pairs()
+            moral = moralize_chain(g)
+            got = moral.edge_pairs()
             assert {frozenset(p) for p in got} == want
+            # the same graph as the edge list of the graph and the parent pairs
+            marriages = [p for ps in g.component_index.parents for p in combinations(ps, 2)]
+            listed = UndirectedGraph(g.node_names, [(e.u, e.v) for e in g.edges] + marriages)
+            assert moral.node_names == listed.node_names
+            assert all(moral.neighbors(x) == listed.neighbors(x) for x in g.node_names)
             # canonical order: pairs sorted by declaration index, u before v
             assert got == sorted(got, key=lambda p: (g.index(p[0]), g.index(p[1])))
             assert all(g.index(u) < g.index(v) for u, v in got)
@@ -237,6 +244,71 @@ def test_max_cliques_canonical_order():
     # cliques come back ordered by their members' declaration indices
     ug = UndirectedGraph("dcba", [("a", "b"), ("c", "d")])
     assert max_cliques(ug) == [frozenset("dc"), frozenset("ba")]
+
+
+def _brute_force_maximal_cliques(adj):
+    """Every node set that is complete and inside no larger complete set."""
+    nodes = list(adj)
+    complete = [
+        frozenset(c)
+        for k in range(1, len(nodes) + 1)
+        for c in combinations(nodes, k)
+        if all(v in adj[u] for u, v in combinations(c, 2))
+    ]
+    return {c for c in complete if not any(c < d for d in complete)}
+
+
+def _random_adjacency(rng, n, p):
+    names = [f"v{i}" for i in range(n)]
+    adj = {x: set() for x in names}
+    for u, v in combinations(names, 2):
+        if rng.random() < p:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def test_clique_kernel_equals_brute_force():
+    rng = random.Random(14)
+    cases = [{}]
+    for n in range(11):
+        # p = 0: isolated nodes only; p = 1: one complete graph
+        for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+            cases.extend(_random_adjacency(rng, n, p) for _ in range(3))
+    for adj in cases:
+        order = list(adj)
+        rng.shuffle(order)
+        position = {x: i for i, x in enumerate(order)}.__getitem__
+        got = maximal_cliques(adj, position)
+        assert len(got) == len(set(got))
+        assert set(got) == _brute_force_maximal_cliques(adj)
+        assert got == sorted(got, key=lambda c: sorted(map(position, c)))
+
+
+class _Unread:
+    """An adjacency set that fails when read."""
+
+    def __iter__(self):
+        raise AssertionError("adjacency read before the bound check")
+
+    __contains__ = __iter__
+
+
+def _unread_position(name):
+    raise AssertionError("position read before the bound check")
+
+
+@pytest.mark.parametrize("bound", [0, 5, MAX_CLIQUE_NODES])
+def test_clique_bound_fires_before_any_mask(bound):
+    adj = {f"n{i}": _Unread() for i in range(bound + 1)}
+    msg = f"clique enumeration graph has {bound + 1} nodes, over the limit of {bound}"
+    with pytest.raises(CliqueBoundError) as err:
+        maximal_cliques(adj, _unread_position, node_bound=bound)
+    assert str(err.value) == msg
+    # at the bound itself the search runs
+    edgeless = {f"n{i}": set() for i in range(bound)}
+    got = maximal_cliques(edgeless, list(edgeless).index, node_bound=bound)
+    assert got == [frozenset((x,)) for x in edgeless]
 
 
 # -- observation-driven simplification ------------------------------------------
