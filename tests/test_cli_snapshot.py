@@ -45,6 +45,7 @@ EXTRA = (
     ("fig2", "query", "--ci", "a _||_ e | b,c"),
     ("boltzmann", "factorize", "--condition", "o"),
     ("fig1a", "oracle", "--trials", "3", "--json"),
+    ("fig3", "oracle", "--trials", "3", "--json"),
     ("coin", "oracle", "--bind", "N=3", "--trials", "3", "--json"),
 )
 
