@@ -15,21 +15,23 @@ Three structures are computed here:
 Each block of the master graph is packaged as a conditional subgraph: the
 chain component together with its parents, the parents marked observed.
 No completion edges are added: two parents are adjacent only when the graph
-joins them.  `block_masks` is the one builder of that parent-extended
-adjacency: it numbers the block and its parents 0..n-1 in node-position
+joins them.  `block_masks` builds that parent-extended adjacency for the
+clique kernel: it numbers the block and its parents 0..n-1 in node-position
 order and gives each the int bitmask of its neighbours, read straight off
 the graph's parent and neighbour sets in time proportional to the block
 and its parents.  The factorizer hands those masks to the clique kernel
-(`markov.clique_ids`); a conditional subgraph derives its `adjacency` and
-`cliques` from them, built on first use.  No graph is built per block
-unless one is asked for (`ConditionalSubgraph.graph`).  `block_order` is the one emission
-order, and the one place that refuses a cyclic quotient.
+(`markov.clique_ids`), and so do a conditional subgraph's `cliques`, built
+on first use.  A conditional subgraph's `adjacency` map and its `graph`
+share one walk of the same sets and build no masks, whose ints are as wide
+as the block.  No graph is built per block unless one is asked for
+(`ConditionalSubgraph.graph`).  `block_order` is the one emission order,
+and the one place that refuses a cyclic quotient.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import ChainGraph, Edge, GraphError
 from .markov import check_clique_bound, clique_ids
@@ -122,21 +124,14 @@ def block_masks(g: ChainGraph, members: Iterable[str], parents: frozenset[str]) 
     return nodes, masks
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
 class ConditionalSubgraph:
     """One chain component of ``source`` extended with its parents.
 
     ``flavor`` is ``"undirected"`` for a component of two or more nodes and
     ``"directed"`` for a single node.  ``parent_nodes`` is the component's
-    cached parent set.  The block's adjacency map and cliques come from its
-    :func:`block_masks`, built on first use.
+    cached parent set.  The block's cliques come from its
+    :func:`block_masks`, built on first use; its adjacency map and graph
+    from one walk of the edges among its nodes.
     """
 
     def __init__(
@@ -151,21 +146,29 @@ class ConditionalSubgraph:
     def _masks(self) -> tuple[tuple[str, ...], list[int]]:
         return block_masks(self.source, self.own_nodes, self.parent_nodes)
 
+    def _edges(self) -> tuple[list[str], list[tuple[str, str, bool]]]:
+        """The block and its parents in node order, and every edge among
+        them as (u, v, is_arc), read from the head's side as in
+        :func:`block_masks`."""
+        g = self.source
+        nodes = g.sorted_nodes(self.own_nodes | self.parent_nodes)
+        keep = frozenset(nodes)
+        edges = []
+        for v in nodes:
+            edges.extend((u, v, True) for u in g._parents[v] & keep)
+            edges.extend((u, v, False) for u in g._neighbors[v] & keep if u < v)
+        return nodes, edges
+
     @cached_property
     def graph(self) -> ChainGraph:
         """The parent-extended graph: the block, its parents (marked
         observed) and every edge among them, with arc directions dropped
         for an undirected block.  Built on first use."""
         g, parents = self.source, self.parent_nodes
-        nodes = g.sorted_nodes(self.own_nodes | parents)
-        keep = frozenset(nodes)
+        nodes, edges = self._edges()
         arcs = self.flavor == "directed"
         attrs = {n: g.attr(n)._replace(observed=True) if n in parents else g.attr(n) for n in nodes}
-        edges = []
-        for v in nodes:  # from the head's side, as in block_masks
-            edges.extend(Edge(u, v, arcs) for u in g._parents[v] & keep)
-            edges.extend(Edge(u, v, False) for u in g._neighbors[v] & keep if u < v)
-        return ChainGraph(attrs, edges)
+        return ChainGraph(attrs, [Edge(u, v, arcs and is_arc) for u, v, is_arc in edges])
 
     def uncompleted(self) -> ChainGraph:
         """The parent-extended graph, as :attr:`graph`."""
@@ -173,9 +176,14 @@ class ConditionalSubgraph:
 
     def adjacency(self) -> dict[str, set[str]]:
         """The parent-extended graph with directions dropped, as an
-        adjacency map over members and parents, read off the masks."""
-        nodes, masks = self._masks
-        return {n: {nodes[j] for j in _bits(m)} for n, m in zip(nodes, masks)}
+        adjacency map over members and parents in node order, read off the
+        graph's parent and neighbour sets (no masks are built)."""
+        nodes, edges = self._edges()
+        adj: dict[str, set[str]] = {n: set() for n in nodes}
+        for u, v, _ in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     def cliques(self) -> list[frozenset[str]]:
         """Maximal cliques of the parent-extended graph, canonically ordered."""

@@ -22,6 +22,19 @@ graph-level answer be confirmed or refuted numerically:
 Normalizer terms are not random: they are computed as the actual
 normalizing constants of their block's potentials, so the instantiated
 product is a genuine chain-graph distribution.
+
+Both checks draw their trials as stacks.  Trial k has its own generator,
+the k-th child of ``SeedSequence(seed)``.  Tables are drawn term by term,
+each term by every generator of a chunk in turn, so each generator's
+sequence of draws, and every number, is what a trial drawn on its own
+gets.  Each term's tables, and each normalizer computed from
+the stacked potentials, sit on a leading trials axis; the joints are one
+broadcast multiply per term over the stack, then one sum and one division
+per trial.  The sweep and the equivalence check split their trials into
+chunks by one rule (`_chunk_size`), so that no stack holds more than
+``MAX_JOINT_CONFIGS`` entries, and each chunk spawns its generators when it
+runs.  `assignment_from_rng`, `build_joint`, `conditional_deviation` and
+`marginal_deviation` are the one-trial case of the same code.
 """
 
 from __future__ import annotations
@@ -69,10 +82,12 @@ class JointTable(NamedTuple):
         return JointTable(*_marginal(self.table, self.vars, keep))
 
     def aligned(self, order: Sequence[str]) -> np.ndarray:
+        """The table with its variable axes in ``order``; axes before them
+        (trials) stay in front."""
         if set(order) != set(self.vars) or len(order) != len(self.vars):
             raise OracleError("variable order does not match table")
-        perm = [self.vars.index(v) for v in order]
-        return np.transpose(self.table, perm)
+        lead = self.table.ndim - len(self.vars)
+        return np.transpose(self.table, [*range(lead), *(lead + self.vars.index(v) for v in order)])
 
 
 def _marginal(
@@ -117,8 +132,12 @@ def _require_ground(e: FactorExpression) -> None:
         raise OracleError("expression is a conditional ratio, not a plain product")
 
 
-def _positive(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    return rng.uniform(0.1, 1.0, size=shape)
+def _positive(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform draws in [0.1, 1.0) of ``shape``, one per generator, stacked."""
+    out = np.empty((len(rngs),) + shape)
+    for k, rng in enumerate(rngs):
+        out[k] = rng.uniform(0.1, 1.0, size=shape)
+    return out
 
 
 def _term_shape(t: FactorTerm, domains: Mapping[str, int]) -> tuple[int, ...]:
@@ -128,46 +147,66 @@ def _term_shape(t: FactorTerm, domains: Mapping[str, int]) -> tuple[int, ...]:
         raise OracleError(f"no domain size for variable {exc.args[0]!r}") from None
 
 
+def _draw_terms(e: FactorExpression, rngs: Sequence[np.random.Generator]) -> PotentialAssignment:
+    """Every term's table but the normalizers, for each generator of
+    ``rngs``, stacked on a leading trials axis.  Terms are drawn in term
+    order, each by every generator in turn, so each generator makes the
+    draws one trial of its own would make.  A table is size-checked per
+    trial; the caller keeps ``len(rngs)`` times the joint within
+    ``MAX_JOINT_CONFIGS``."""
+    _require_ground(e)
+    domains = _domains_of(e)
+    pa: PotentialAssignment = {}
+    for t in e.terms:
+        shape = _term_shape(t, domains)
+        _check_size(f"table for {t.name()}", shape)
+        if t.kind == "conditional":
+            raw = _positive(rngs, shape)
+            table = raw / raw.sum(axis=tuple(range(1 + len(t.given), 1 + len(shape))), keepdims=True)
+        elif t.kind == "delta":
+            given_shape = shape[: len(t.given)]
+            head_sizes = shape[len(t.given) :]
+            if len(head_sizes) != 1:
+                raise OracleError("delta terms carry exactly one head variable")
+            choice = np.empty((len(rngs),) + given_shape, dtype=np.int64)
+            for k, rng in enumerate(rngs):
+                choice[k] = rng.integers(0, head_sizes[0], size=given_shape)
+            table = (np.arange(head_sizes[0]) == choice[..., None]).astype(float)
+        elif t.kind == "potential":
+            table = _positive(rngs, shape)
+        elif t.kind == "normalizer":
+            continue  # computed from the group's potentials
+        else:
+            raise OracleError(f"unknown term kind {t.kind!r}")
+        pa[t.name()] = TermTable(t.vars, table)
+    return pa
+
+
 def assignment_from_rng(e: FactorExpression, rng: np.random.Generator) -> PotentialAssignment:
     """Tables for every term, keyed by the term's rendered name.
 
     Conditionals: positive rows normalized over the head.  Deltas: a random
     deterministic function (one-hot rows).  Potentials: uniform in
     [0.1, 1.0].  Normalizers: computed exactly from their group's
-    potentials so each block's conditional sums to one.
+    potentials so each block's conditional sums to one.  This is one trial
+    of the stacked tables the sweep and the equivalence check draw.
     """
-    _require_ground(e)
-    domains = _domains_of(e)
-    pa: PotentialAssignment = {}
-    terms = e.terms
+    return {name: TermTable(tt.vars, tt.table[0]) for name, tt in _draw(e, [rng]).items()}
 
-    for t in terms:
-        shape = _term_shape(t, domains)
-        _check_size(f"table for {t.name()}", shape)
-        if t.kind == "conditional":
-            raw = _positive(rng, shape)
-            table = raw / raw.sum(axis=tuple(range(len(t.given), len(shape))), keepdims=True)
-        elif t.kind == "delta":
-            given_shape = shape[: len(t.given)]
-            head_sizes = shape[len(t.given) :]
-            if len(head_sizes) != 1:
-                raise OracleError("delta terms carry exactly one head variable")
-            choice = rng.integers(0, head_sizes[0], size=given_shape)
-            table = (np.arange(head_sizes[0]) == choice[..., None]).astype(float)
-        elif t.kind == "potential":
-            table = _positive(rng, shape)
-        elif t.kind == "normalizer":
-            continue  # computed below from the group's potentials
-        else:
-            raise OracleError(f"unknown term kind {t.kind!r}")
-        pa[t.name()] = TermTable(t.vars, table)
 
-    _compute_normalizers(e, pa, skip=frozenset())
+def _draw(e: FactorExpression, rngs: Sequence[np.random.Generator]) -> PotentialAssignment:
+    """Every term's table for each generator of ``rngs``, stacked on a
+    leading trials axis, normalizers included."""
+    pa = _draw_terms(e, rngs)
+    _compute_normalizers(e, pa, len(rngs), skip=frozenset())
     return pa
 
 
-def _compute_normalizers(e: FactorExpression, pa: PotentialAssignment, skip: frozenset[str]) -> None:
-    """(Re)derive each normalizer table as 1 / sum of its group's potential product."""
+def _compute_normalizers(
+    e: FactorExpression, pa: PotentialAssignment, trials: int, skip: frozenset[str]
+) -> None:
+    """(Re)derive each normalizer table as 1 / sum of its group's potential
+    product, for each of the ``trials`` stacked tables in ``pa``."""
     domains = _domains_of(e)
     terms = e.terms
     for t in terms:
@@ -177,25 +216,27 @@ def _compute_normalizers(e: FactorExpression, pa: PotentialAssignment, skip: fro
         union = [v for v in e.order if any(v in u.vars for u in group) or v in t.vars]
         shape = tuple(domains[v] for v in union)
         _check_size(f"potential product for {t.name()}", shape)
-        arr = np.ones(shape)
+        arr = np.ones((trials,) + shape)
         for u in group:
-            arr = arr * _broadcast(pa[u.name()], union, domains)
-        summed = arr.sum(axis=tuple(i for i, v in enumerate(union) if v not in t.vars))
+            arr *= _broadcast(pa[u.name()], union, domains)
+        summed = arr.sum(axis=tuple(1 + i for i, v in enumerate(union) if v not in t.vars))
         kept = [v for v in union if v in t.vars]
         inv = 1.0 / summed
-        perm = [kept.index(v) for v in t.vars]
-        pa[t.name()] = TermTable(t.vars, np.transpose(inv, perm) if perm else inv)
+        perm = [1 + kept.index(v) for v in t.vars]
+        pa[t.name()] = TermTable(t.vars, np.transpose(inv, [0, *perm]))
 
 
 def _broadcast(tt: TermTable, order: Sequence[str], domains: Mapping[str, int]) -> np.ndarray:
-    """View a term table over the full variable order, ready to multiply."""
+    """View a (stacked) term table over the full variable order, ready to
+    multiply; leading trials axes stay in front."""
     missing = [v for v in tt.vars if v not in order]
     if missing:
         raise OracleError(f"term variable {missing[0]!r} missing from joint order")
+    lead = tt.table.ndim - len(tt.vars)
     perm = sorted(range(len(tt.vars)), key=lambda i: order.index(tt.vars[i]))
-    arr = np.transpose(tt.table, perm)
+    arr = np.transpose(tt.table, [*range(lead), *(lead + i for i in perm)])
     shape = [domains[v] if v in tt.vars else 1 for v in order]
-    return arr.reshape(shape)
+    return arr.reshape(tt.table.shape[:lead] + tuple(shape))
 
 
 def _joint_shape(e: FactorExpression) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -210,12 +251,28 @@ def _joint_shape(e: FactorExpression) -> tuple[tuple[str, ...], tuple[int, ...]]
     return order, shape
 
 
+def _joint_stack(e: FactorExpression, pa: PotentialAssignment, trials: int) -> np.ndarray:
+    """The normalized joints of ``trials`` stacked tables, as (trials,
+    *joint): one broadcast multiply per term, then one sum and one division
+    per trial, so each trial's joint is summed as a joint of its own."""
+    domains = _domains_of(e)
+    order, shape = _joint_shape(e)
+    arr = np.ones((trials,) + shape)
+    for t in e.terms:
+        arr *= _broadcast(pa[t.name()], order, domains)
+    for joint in arr:
+        s = float(joint.sum())
+        if not np.isfinite(s) or s <= 0.0:
+            raise OracleError("assignment yields a zero or non-finite joint")
+        joint /= s
+    return arr
+
+
 def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
     """Explicit normalized joint over every variable the expression mentions."""
     _require_ground(e)
     domains = _domains_of(e)
-    order, shape = _joint_shape(e)
-    arr = np.ones(shape)
+    order, _ = _joint_shape(e)
     for t in e.terms:
         tt = pa.get(t.name())
         if tt is None:
@@ -225,11 +282,8 @@ def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
         expected = _term_shape(t, domains)
         if tuple(tt.table.shape) != expected:
             raise OracleError(f"table for {t.name()} has shape {tt.table.shape}, expected {expected}")
-        arr = arr * _broadcast(tt, order, domains)
-    s = float(arr.sum())
-    if not np.isfinite(s) or s <= 0.0:
-        raise OracleError("assignment yields a zero or non-finite joint")
-    return JointTable(order, arr / s)
+    one = {t.name(): TermTable(t.vars, pa[t.name()].table[None]) for t in e.terms}
+    return JointTable(order, _joint_stack(e, one, 1)[0])
 
 
 def _pair_deviations(flat: np.ndarray, i: int, j: int, sums: Sequence[np.ndarray]) -> np.ndarray:
@@ -304,32 +358,44 @@ def conditional_deviation(
     j1: JointTable, j2: JointTable, head: Iterable[str], given: Iterable[str]
 ) -> float:
     """max |p1(head|given) - p2(head|given)| over configs both sides support."""
-    head_t = tuple(head)
-    given_t = tuple(given)
-    order = head_t + given_t
+    return float(_conditional_deviations(_one_trial(j1), _one_trial(j2), tuple(head), tuple(given))[0])
+
+
+def marginal_deviation(j1: JointTable, j2: JointTable, on: Iterable[str]) -> float:
+    return float(_marginal_deviations(_one_trial(j1), _one_trial(j2), tuple(on))[0])
+
+
+def _one_trial(j: JointTable) -> JointTable:
+    return JointTable(j.vars, j.table[None])
+
+
+def _conditional_deviations(
+    j1: JointTable, j2: JointTable, head: tuple[str, ...], given: tuple[str, ...]
+) -> np.ndarray:
+    """`conditional_deviation` of each trial of two stacks of joints, laid
+    out as (trials, *joint)."""
+    order = head + given
 
     def cond(j: JointTable) -> tuple[np.ndarray, np.ndarray]:
         arr = j.marginal(order).aligned(order)
-        nh = math.prod(arr.shape[: len(head_t)])
-        p = arr.reshape(nh, -1)
-        pg = p.sum(axis=0)
+        nh = math.prod(arr.shape[1 : 1 + len(head)])
+        p = arr.reshape(len(arr), nh, -1)
+        pg = p.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             c = p / pg
         return c, pg
 
     c1, g1 = cond(j1)
     c2, g2 = cond(j2)
-    ok = (g1 > 0.0) & (g2 > 0.0)
-    if not ok.any():
-        return 0.0
-    return float(np.abs(c1[:, ok] - c2[:, ok]).max(initial=0.0))
+    dev = np.abs(c1 - c2)
+    np.copyto(dev, 0.0, where=~((g1 > 0.0) & (g2 > 0.0)))
+    return dev.reshape(len(dev), -1).max(axis=1, initial=0.0)
 
 
-def marginal_deviation(j1: JointTable, j2: JointTable, on: Iterable[str]) -> float:
-    order = tuple(on)
-    m1 = j1.marginal(order).aligned(order)
-    m2 = j2.marginal(order).aligned(order)
-    return float(np.abs(m1 - m2).max(initial=0.0))
+def _marginal_deviations(j1: JointTable, j2: JointTable, on: tuple[str, ...]) -> np.ndarray:
+    """`marginal_deviation` of each trial of two stacks of joints."""
+    dev = np.abs(j1.marginal(on).aligned(on) - j2.marginal(on).aligned(on))
+    return dev.reshape(len(dev), -1).max(axis=1, initial=0.0)
 
 
 # -- global Markov sweep ------------------------------------------------------
@@ -463,6 +529,22 @@ def _blocks(names: Sequence[str], shape: Sequence[int], trials: int) -> list[_Bl
     return out
 
 
+def _chunk_size(*shapes: tuple[int, ...]) -> int:
+    """Trials per chunk: as many as keep a stack of the largest of these
+    joints within ``MAX_JOINT_CONFIGS`` entries, and at least one."""
+    return max(1, MAX_JOINT_CONFIGS // max(math.prod(shape) for shape in shapes))
+
+
+def _trial_chunks(seed: int, trials: int, chunk: int) -> Iterator[list[np.random.Generator]]:
+    """The generators of ``trials`` trials, ``chunk`` at a time.  Each chunk
+    spawns its own from the one ``SeedSequence(seed)``, so trial k has the
+    k-th child whatever the chunking, and no generator exists before its
+    chunk runs."""
+    root = np.random.SeedSequence(seed)
+    for start in range(0, trials, chunk):
+        yield [np.random.default_rng(seq) for seq in root.spawn(min(chunk, trials - start))]
+
+
 def check_global_markov(
     g: ChainGraph,
     trials: int = 20,
@@ -497,19 +579,15 @@ def check_global_markov(
     order, shape = _joint_shape(e)
     queries = all_singleton_queries(g)
     implied = _implied(g, len(queries))
-    chunk = max(1, MAX_JOINT_CONFIGS // math.prod(shape))
+    chunk = _chunk_size(shape)
     blocks = _blocks(order, shape, min(trials, chunk))
 
     max_dev = np.zeros(len(queries))
-    seqs = np.random.SeedSequence(seed).spawn(trials)
-    for start in range(0, trials, chunk):
-        part = seqs[start : start + chunk]
-        stack = np.empty((len(part),) + shape)
-        for i, seq in enumerate(part):
-            stack[i] = build_joint(e, assignment_from_rng(e, np.random.default_rng(seq))).table
+    for rngs in _trial_chunks(seed, trials, chunk):
+        stack = _joint_stack(e, _draw(e, rngs), len(rngs))
         for block in blocks:
             k = len(block.shape)
-            flat = np.empty(block.shape + (len(block.node_sets), len(part)))
+            flat = np.empty(block.shape + (len(block.node_sets), len(rngs)))
             slots = flat.transpose(k, k + 1, *range(k))  # (sets, trials, *dims)
             for i, nodes in enumerate(block.node_sets):
                 slots[i] = _marginal(stack, order, nodes)[1]
@@ -563,7 +641,9 @@ def check_equivalence(
     instantiated identically (they must range over the same variables).
     ``mode="conditional"`` compares p(free | given), requiring equal
     free/given sets; ``mode="marginal"`` compares the marginal over the
-    variables both expressions mention.
+    variables both expressions mention.  Each trial's generator draws e1's
+    tables, then e2's; the shared ones are then copied, and e2's
+    normalizers computed from its potentials as copied.
     """
     _check_tol(tol)
     _require_ground(e1)
@@ -592,24 +672,25 @@ def check_equivalence(
         raise OracleError(f"unknown comparison mode {mode!r}")
 
     # refuse oversized joints before drawing any table
-    _joint_shape(e1)
-    _joint_shape(e2)
+    order1, shape1 = _joint_shape(e1)
+    order2, shape2 = _joint_shape(e2)
     inverse = {v: k for k, v in shared.items()}
     devs: list[float] = []
-    for seq in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(seq)
-        pa1 = assignment_from_rng(e1, rng)
-        pa2 = assignment_from_rng(e2, rng)
+    for rngs in _trial_chunks(seed, trials, _chunk_size(shape1, shape2)):
+        n = len(rngs)
+        pa1 = _draw(e1, rngs)
+        pa2 = _draw_terms(e2, rngs)
         for name2, name1 in inverse.items():
             pa2[name2] = pa1[name1]
-        # a copied potential invalidates its group's computed normalizer
-        _compute_normalizers(e2, pa2, skip=frozenset(inverse))
-        j1 = build_joint(e1, pa1)
-        j2 = build_joint(e2, pa2)
+        # e2's normalizers come from its potentials after the copy; a copied
+        # normalizer stays as copied
+        _compute_normalizers(e2, pa2, n, skip=frozenset(inverse))
+        j1 = JointTable(order1, _joint_stack(e1, pa1, n))
+        j2 = JointTable(order2, _joint_stack(e2, pa2, n))
         if mode == "conditional":
-            devs.append(conditional_deviation(j1, j2, head, given))
+            devs += _conditional_deviations(j1, j2, head, given).tolist()
         else:
-            devs.append(marginal_deviation(j1, j2, head))
+            devs += _marginal_deviations(j1, j2, head).tolist()
     return EquivalenceReport(trials, mode, tol, tuple(devs))
 
 

@@ -16,7 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from chaingraph import ChainGraph, Edge, NodeAttr
-from chaingraph.oracle import assignment_from_rng
+from chaingraph.oracle import (
+    JointTable,
+    OracleError,
+    TermTable,
+    _check_size,
+    _domains_of,
+    _joint_shape,
+    _require_ground,
+    _term_shape,
+    assignment_from_rng,
+)
 from chaingraph.plates import _index_tuples
 
 
@@ -266,6 +276,138 @@ def indval(m, v: str, b) -> set[tuple[int, ...]]:
 def random_assignment(e, seed: int):
     """Random tables for every term of ``e``, drawn from one seed."""
     return assignment_from_rng(e, np.random.default_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# the oracle one trial at a time: the per-trial loop that the stacked draws,
+# joints and deviations of `chaingraph.oracle` replaced, kept as it was
+
+
+def per_trial_assignment(e, rng: np.random.Generator) -> dict:
+    """One trial's tables, drawn term by term from ``rng``."""
+    _require_ground(e)
+    domains = _domains_of(e)
+    pa = {}
+    for t in e.terms:
+        shape = _term_shape(t, domains)
+        _check_size(f"table for {t.name()}", shape)
+        if t.kind == "conditional":
+            raw = rng.uniform(0.1, 1.0, size=shape)
+            table = raw / raw.sum(axis=tuple(range(len(t.given), len(shape))), keepdims=True)
+        elif t.kind == "delta":
+            given_shape = shape[: len(t.given)]
+            head_sizes = shape[len(t.given) :]
+            if len(head_sizes) != 1:
+                raise OracleError("delta terms carry exactly one head variable")
+            choice = rng.integers(0, head_sizes[0], size=given_shape)
+            table = (np.arange(head_sizes[0]) == choice[..., None]).astype(float)
+        elif t.kind == "potential":
+            table = rng.uniform(0.1, 1.0, size=shape)
+        elif t.kind == "normalizer":
+            continue
+        else:
+            raise OracleError(f"unknown term kind {t.kind!r}")
+        pa[t.name()] = TermTable(t.vars, table)
+    per_trial_normalizers(e, pa, skip=frozenset())
+    return pa
+
+
+def per_trial_normalizers(e, pa: dict, skip: frozenset) -> None:
+    """Each normalizer as 1 / sum of its group's potential product."""
+    domains = _domains_of(e)
+    for t in e.terms:
+        if t.kind != "normalizer" or t.name() in skip:
+            continue
+        group = [u for u in e.terms if u.kind == "potential" and u.group == t.group]
+        union = [v for v in e.order if any(v in u.vars for u in group) or v in t.vars]
+        shape = tuple(domains[v] for v in union)
+        _check_size(f"potential product for {t.name()}", shape)
+        arr = np.ones(shape)
+        for u in group:
+            arr = arr * _per_trial_broadcast(pa[u.name()], union, domains)
+        summed = arr.sum(axis=tuple(i for i, v in enumerate(union) if v not in t.vars))
+        kept = [v for v in union if v in t.vars]
+        inv = 1.0 / summed
+        perm = [kept.index(v) for v in t.vars]
+        pa[t.name()] = TermTable(t.vars, np.transpose(inv, perm) if perm else inv)
+
+
+def _per_trial_broadcast(tt, order, domains) -> np.ndarray:
+    perm = sorted(range(len(tt.vars)), key=lambda i: order.index(tt.vars[i]))
+    arr = np.transpose(tt.table, perm)
+    return arr.reshape([domains[v] if v in tt.vars else 1 for v in order])
+
+
+def per_trial_joint(e, pa: dict) -> JointTable:
+    """One trial's normalized joint: the product of its tables, term by term."""
+    domains = _domains_of(e)
+    order, shape = _joint_shape(e)
+    arr = np.ones(shape)
+    for t in e.terms:
+        arr = arr * _per_trial_broadcast(pa[t.name()], order, domains)
+    s = float(arr.sum())
+    if not np.isfinite(s) or s <= 0.0:
+        raise OracleError("assignment yields a zero or non-finite joint")
+    return JointTable(order, arr / s)
+
+
+def _per_trial_aligned(j: JointTable, order) -> np.ndarray:
+    vars_, table = j.vars, j.table
+    drop = tuple(i for i, v in enumerate(vars_) if v not in order)
+    kept = tuple(v for v in vars_ if v in order)
+    m = table.sum(axis=drop) if drop else table
+    return np.transpose(m, [kept.index(v) for v in order])
+
+
+def per_trial_conditional_deviation(j1: JointTable, j2: JointTable, head, given) -> float:
+    head, given = tuple(head), tuple(given)
+
+    def cond(j):
+        arr = _per_trial_aligned(j, head + given)
+        p = arr.reshape(int(np.prod(arr.shape[: len(head)])), -1)
+        pg = p.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = p / pg
+        return c, pg
+
+    c1, g1 = cond(j1)
+    c2, g2 = cond(j2)
+    ok = (g1 > 0.0) & (g2 > 0.0)
+    if not ok.any():
+        return 0.0
+    return float(np.abs(c1[:, ok] - c2[:, ok]).max(initial=0.0))
+
+
+def per_trial_marginal_deviation(j1: JointTable, j2: JointTable, on) -> float:
+    on = tuple(on)
+    return float(np.abs(_per_trial_aligned(j1, on) - _per_trial_aligned(j2, on)).max(initial=0.0))
+
+
+def per_trial_equivalence(e1, e2, shared: dict, trials: int, seed: int, mode: str) -> list[float]:
+    """`check_equivalence`'s deviations, one trial at a time: e1's tables,
+    then e2's, from one generator per trial, the shared ones copied."""
+    if mode == "conditional":
+        head = tuple(sorted(e1.free_vars, key=e1.sort_key))
+        given = tuple(sorted(e1.given_vars, key=e1.sort_key))
+    else:
+        common = {v for t in e1.terms for v in t.vars} & {v for t in e2.terms for v in t.vars}
+        head = tuple(v for v in e1.order if v in common)
+    inverse = {v: k for k, v in shared.items()}
+    devs = []
+    for seq in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(seq)
+        pa1 = per_trial_assignment(e1, rng)
+        pa2 = per_trial_assignment(e2, rng)
+        for name2, name1 in inverse.items():
+            pa2[name2] = pa1[name1]
+        per_trial_normalizers(e2, pa2, skip=frozenset(inverse))
+        j1 = per_trial_joint(e1, pa1)
+        j2 = per_trial_joint(e2, pa2)
+        if mode == "conditional":
+            devs.append(per_trial_conditional_deviation(j1, j2, head, given))
+        else:
+            devs.append(per_trial_marginal_deviation(j1, j2, head))
+    return devs
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from chaingraph import (
     undirected,
     validate_chain_graph,
 )
+from chaingraph import decompose
 from helpers import edge_triples, random_chain_graph, random_mixed, reference
 
 
@@ -190,6 +191,23 @@ def test_block_adjacency_keeps_edges_among_parents():
     assert xy.adjacency() == {"p": {"q", "x"}, "q": {"p", "x"}, "x": {"p", "q", "y"}, "y": {"x"}}
     assert xy.cliques() == [frozenset("pqx"), frozenset("xy")]
     assert render(factorize_chain(g)) == "p(p) p(q|p) f_0(p,q) f_1(p,q,x) f_2(x,y)"
+
+
+def test_block_adjacency_builds_no_masks(monkeypatch):
+    # masks are as wide as the block: on a long path they would cost memory
+    # quadratic in its length
+    names = [f"v{i}" for i in range(10_000)]
+    g = ChainGraph(names, [undirected(u, v) for u, v in zip(names, names[1:])])
+    (sub,) = conditional_subgraphs(g)
+
+    def refused(*args):
+        raise AssertionError("block_masks called for the adjacency map")
+
+    monkeypatch.setattr(decompose, "block_masks", refused)
+    adj = sub.adjacency()
+    assert list(adj) == names
+    assert adj == {v: set(names[max(0, i - 1) : i + 2]) - {v} for i, v in enumerate(names)}
+    assert "_masks" not in vars(sub)
 
 
 def _valid_random_graphs():

@@ -199,6 +199,7 @@ def test_blocks_equal_brute_force_cliques():
             assert sub.own_nodes == set(comp) and sub.parent_nodes == parents
             nodes = [x for x in g.node_names if x in sub.own_nodes or x in parents]
             assert sub.adjacency() == {x: {y for y in nodes if g.has_edge(x, y)} for x in nodes}
+            assert list(sub.adjacency()) == nodes
             assert sub.graph.node_names == tuple(nodes)
             assert {frozenset((e.u, e.v)) for e in sub.graph.edges} == {
                 frozenset(p) for p in combinations(nodes, 2) if g.has_edge(*p)

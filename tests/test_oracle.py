@@ -31,7 +31,15 @@ from chaingraph import (
     validate_chain_graph,
 )
 from chaingraph import oracle
-from helpers import random_assignment, random_chain_graph, random_dag, random_mixed
+from helpers import (
+    per_trial_assignment,
+    per_trial_equivalence,
+    per_trial_joint,
+    random_assignment,
+    random_chain_graph,
+    random_dag,
+    random_mixed,
+)
 
 
 def chain(n):
@@ -303,13 +311,13 @@ def _one_joint_deviation(j, q):
 
 
 def _per_trial_sweep(g, trials, seed):
-    """The sweep as a plain loop: every trial's joint, every query scored on
-    its own; `implies_ci` per query."""
+    """The sweep as a plain loop: every trial's tables and joint drawn on
+    their own, every query scored on its own; `implies_ci` per query."""
     e = factorize_chain(g)
     queries = all_singleton_queries(g)
     max_dev = [0.0] * len(queries)
     for seq in np.random.SeedSequence(seed).spawn(trials):
-        j = build_joint(e, assignment_from_rng(e, np.random.default_rng(seq)))
+        j = per_trial_joint(e, per_trial_assignment(e, np.random.default_rng(seq)))
         for k, q in enumerate(queries):
             d = _one_joint_deviation(j, q)
             assert ci_deviation(j, q) == d
@@ -414,6 +422,138 @@ def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
         budget = limit >> 7
         assert all(n == 1 or n * t * np.prod(dims) <= budget for n, t, dims, _ in blocks)
         assert any(n > 1 for n, _, _, _ in blocks) == (limit > 600)
+
+
+# -- stacked trials against the per-trial loop ---------------------------------------
+
+
+def _generators(seed, trials):
+    return [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(trials)]
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _assert_stack_matches_per_trial_loop(e, trials, seed, label):
+    """Every stacked table and joint equals the per-trial loop's, bit for bit."""
+    pa = oracle._draw(e, _generators(seed, trials))
+    stack = oracle._joint_stack(e, pa, trials)
+    for k, rng in enumerate(_generators(seed, trials)):
+        want = per_trial_assignment(e, rng)
+        assert list(pa) == list(want), label
+        for name, tt in want.items():
+            assert pa[name].vars == tt.vars, (label, name)
+            assert _same_bits(pa[name].table[k], tt.table), (label, name, k)
+        assert _same_bits(stack[k], per_trial_joint(e, want).table), (label, k)
+        assert _same_bits(build_joint(e, want).table, stack[k]), (label, k)
+        one = assignment_from_rng(e, _generators(seed, trials)[k])
+        assert all(_same_bits(one[name].table, tt.table) for name, tt in want.items()), (label, k)
+
+
+def _oracle_corpus(models):
+    for name, m in sorted(models.items()):
+        if not m.plates:
+            yield name, m.graph
+    yield "coin[N=5]", expand(models["coin"], {"N": 5})
+    yield "banks[2; 2,3]", expand(models["banks"], {"Banks": 2, "Prices": (2, 3)})
+
+
+def test_stacked_tables_and_joints_match_per_trial_loop_on_corpus(models):
+    kinds = set()
+    for name, g in _oracle_corpus(models):
+        e = factorize_chain(g)
+        kinds |= {t.kind for t in e.terms}
+        _assert_stack_matches_per_trial_loop(e, trials=4, seed=5, label=name)
+    assert kinds == {"conditional", "delta", "potential", "normalizer"}
+
+
+def _random_oracle_graphs(count):
+    """Valid random chain, mixed and DAG graphs whose joint the oracle
+    accepts, with domain sizes from {2, 3, 5, 9}; a node with parents and no
+    undirected edge is deterministic half the time."""
+    rng = random.Random(15)
+    makers = (random_chain_graph, random_mixed, random_dag)
+    made = 0
+    while made < count:
+        g = makers[made % 3](rng, rng.randint(2, 7))
+        if not validate_chain_graph(g).ok:
+            continue
+        attrs = {
+            v: NodeAttr(
+                domain_size=rng.choice((2, 3, 5, 9)),
+                deterministic=bool(g.parents(v)) and not g.neighbors(v) and rng.random() < 0.5,
+            )
+            for v in g.node_names
+        }
+        g = g.with_attrs(attrs)
+        if np.prod([a.domain_size for a in attrs.values()]) > oracle.MAX_JOINT_CONFIGS:
+            continue
+        made += 1
+        yield g
+
+
+def test_stacked_tables_and_joints_match_per_trial_loop_on_random_graphs():
+    kinds, states, largest = set(), set(), 0
+    for k, g in enumerate(_random_oracle_graphs(210)):
+        e = factorize_chain(g)
+        kinds |= {t.kind for t in e.terms}
+        states |= set(e.domains.values())
+        largest = max(largest, int(np.prod(oracle._joint_shape(e)[1])))
+        _assert_stack_matches_per_trial_loop(e, trials=3, seed=k, label=k)
+    assert kinds == {"conditional", "delta", "potential", "normalizer"}
+    assert states == {2, 3, 5, 9}
+    assert largest > 1 << 16  # joints past numpy's summation blocks
+
+
+EQUIV_SHARED = {"p(Dis|Age,Occ,Clim)": "p(Dis|Age,Occ,Clim)", "p(Symp|Age,Dis)": "p(Symp|Age,Dis)"}
+
+
+@pytest.mark.parametrize("mode", ["conditional", "marginal"])
+def test_equivalence_deviations_match_per_trial_loop(graphs, mode):
+    e1 = factorize_chain(graphs["fig1a"])
+    e2 = factorize_chain(graphs["fig1b"])
+    fig3 = factorize_chain(graphs["fig3"])
+    potentials = {t.name(): t.name() for t in fig3.terms if t.kind == "potential"}
+    for a, b, shared in ((e1, e2, EQUIV_SHARED), (e1, e2, {}), (fig3, fig3, potentials)):
+        rep = check_equivalence(a, b, shared=shared, trials=7, seed=3, mode=mode)
+        want = per_trial_equivalence(a, b, shared, trials=7, seed=3, mode=mode)
+        assert _same_bits(rep.deviations, want)
+
+
+def test_chunking_leaves_sweep_and_equivalence_unchanged(graphs, monkeypatch):
+    """fig3's joint has 64 entries: limits of 64, 128 and 192 entries run
+    its trials one, two and three to a chunk (fig1a's and fig1b's 32-entry
+    joints twice as many), each chunk spawning its own generators."""
+    g = graphs["fig3"]
+    e = factorize_chain(g)
+    e1, e2 = factorize_chain(graphs["fig1a"]), factorize_chain(graphs["fig1b"])
+
+    def run():
+        return (
+            check_global_markov(g, trials=5, seed=8).records,
+            check_equivalence(e, e, trials=5, seed=8, mode="marginal").deviations,
+            check_equivalence(e1, e2, shared=EQUIV_SHARED, trials=5, seed=8).deviations,
+        )
+
+    whole = run()
+    stacks = []
+    joint_stack = oracle._joint_stack
+
+    def watched(e, pa, trials):
+        out = joint_stack(e, pa, trials)
+        stacks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(oracle, "_joint_stack", watched)
+    for per_chunk in (1, 2, 3):
+        limit = 64 * per_chunk
+        monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", limit)
+        stacks.clear()
+        assert run() == whole
+        assert max(s[0] for s in stacks if s[1:] == (2,) * 6) == per_chunk
+        assert all(np.prod(s) <= limit for s in stacks)
 
 
 # -- equivalence ----------------------------------------------------------------------
