@@ -146,7 +146,7 @@ class ConditionalSubgraph:
     def _masks(self) -> tuple[tuple[str, ...], list[int]]:
         return block_masks(self.source, self.own_nodes, self.parent_nodes)
 
-    def _edges(self) -> tuple[list[str], list[tuple[str, str, bool]]]:
+    def _edges(self) -> tuple[tuple[str, ...], list[tuple[str, str, bool]]]:
         """The block and its parents in node order, and every edge among
         them as (u, v, is_arc), read from the head's side as in
         :func:`block_masks`."""
