@@ -440,7 +440,7 @@ def _assert_stack_matches_per_trial_loop(e, trials, seed, label):
     """Every stacked table and joint equals the per-trial loop's, bit for bit."""
     pa = oracle._draw(e, _generators(seed, trials))
     stack = oracle._joint_stack(e, pa, trials)
-    for k, rng in enumerate(_generators(seed, trials)):
+    for k, (rng, same) in enumerate(zip(_generators(seed, trials), _generators(seed, trials))):
         want = per_trial_assignment(e, rng)
         assert list(pa) == list(want), label
         for name, tt in want.items():
@@ -448,7 +448,7 @@ def _assert_stack_matches_per_trial_loop(e, trials, seed, label):
             assert _same_bits(pa[name].table[k], tt.table), (label, name, k)
         assert _same_bits(stack[k], per_trial_joint(e, want).table), (label, k)
         assert _same_bits(build_joint(e, want).table, stack[k]), (label, k)
-        one = assignment_from_rng(e, _generators(seed, trials)[k])
+        one = assignment_from_rng(e, same)
         assert all(_same_bits(one[name].table, tt.table) for name, tt in want.items()), (label, k)
 
 
