@@ -37,7 +37,6 @@ from .markov import (
     max_cliques,
     moralize_chain,
     parse_ci_query,
-    separates,
     simplify_conditional_directed,
     simplify_conditional_undirected,
 )
@@ -49,7 +48,6 @@ from .factorize import (
     condition_expression,
     eliminate_deterministic,
     factorize_chain,
-    factorize_undirected,
     render,
     render_term,
 )
@@ -111,11 +109,11 @@ __all__ = [
     "chain_components", "component_subgraphs", "conditional_subgraphs", "master_graph",
     "CiQuery", "CliqueBoundError", "QueryError", "UndirectedGraph",
     "implies_ci", "max_cliques", "moralize_chain",
-    "parse_ci_query", "separates",
+    "parse_ci_query",
     "simplify_conditional_directed", "simplify_conditional_undirected",
     "FactorError", "FactorExpression", "FactorTerm", "PlateProduct",
     "condition_expression", "eliminate_deterministic",
-    "factorize_chain", "factorize_undirected",
+    "factorize_chain",
     "render", "render_term",
     "Binding", "Plate", "PlateError", "PlateModel",
     "expand", "factorize_plated", "validate_plates",

@@ -24,8 +24,9 @@ block runs the clique kernel on its `decompose.block_masks`, whose
 ascending local ids already give each clique's members in node order.
 A DAG is the case where every component is a single node, so its product
 is one p(x | parents(x)) per node in that same order, and `plates` places
-these same terms inside nested plate products.  `factorize_undirected` is
-a different product: one global normalizer over a whole Markov network.
+these same terms inside nested plate products.  A Markov network is the
+case where no component has parents: one normalizer and its potentials per
+component, or p(a,b) for a component that is a single clique.
 `condition_expression` turns a product into the symbolic ratio for
 p(target | observed), summing hidden variables in the numerator and the
 hidden-plus-target variables in the denominator; terms mentioning no free
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import ChainGraph, Edge, GraphError
 from .decompose import block_masks, block_order
-from .markov import UndirectedGraph, check_clique_bound, clique_ids, max_cliques
+from .markov import check_clique_bound, clique_ids
 
 
 class FactorError(ValueError):
@@ -137,20 +138,6 @@ def _metadata(g: ChainGraph) -> dict:
         order=g.node_names,
         domains={n: a.domain_size for n, a in attrs.items()},
     )
-
-
-def factorize_undirected(g: ChainGraph) -> FactorExpression:
-    """One potential per maximal clique plus a global normalizer over the
-    empty set (the partition-function placeholder, rendered ``Z^-1``)."""
-    if not g.is_undirected:
-        raise GraphError("factorize_undirected requires a purely undirected graph")
-    ug = UndirectedGraph(g.node_names, [(e.u, e.v) for e in g.edges])
-    cliques = max_cliques(ug)
-    terms: list[FactorTerm] = []
-    for i, c in enumerate(cliques):
-        terms.append(FactorTerm("potential", given=g.sorted_nodes(c), label=f"f_{i}", group=0))
-    terms.append(FactorTerm("normalizer", label="Z", group=0))
-    return FactorExpression(items=tuple(terms), **_metadata(g))
 
 
 def _undirected_terms(

@@ -497,11 +497,10 @@ def emit_model(m: Union[PlateModel, ChainGraph], name: str | None = None) -> str
         m = PlateModel(m)
     g = m.graph
     for v in g.node_names:
-        chain = m.membership(v)
-        apart = [p.name for p in chain if p not in m.path(chain[-1])] if chain else []
+        apart = m.unnested(v)
         if apart:
             raise PlateError(
-                f"node {v!r} is in plates {apart[0]!r} and {chain[-1].name!r}, which do not nest;"
+                f"node {v!r} is in plates {apart[0].name!r} and {m.membership(v)[-1].name!r}, which do not nest;"
                 " .cg text cannot place it in both"
             )
     lines: list[str] = [f"model {name or m.name} {{"]

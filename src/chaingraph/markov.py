@@ -13,26 +13,25 @@ either reaches B or not.  For a purely directed graph the same procedure
 degenerates to classic moralization of parents.  `moral_adjacency` applies
 the same rule to a whole node set at once: `moralize_chain` builds the
 whole moral graph from it, with no edge list in between, and
-`separated_pairs` reads the one of an anterior set; `separates` tests
-separation in an explicit graph.
+`separated_pairs` reads the one of an anterior set.
 
 The module also hosts the one maximal-clique kernel, `clique_ids`:
 Bron-Kerbosch with Tomita pivoting over int bitmasks.  Its callers number
 the nodes 0..n-1 in node-position order and give each node the bitmask of
 its neighbours, so a clique's ascending ids are its members in canonical
 order, and the sorted id tuples are the canonical clique order.
-`maximal_cliques` (and `max_cliques` over an `UndirectedGraph`) builds the
-masks from an adjacency map; a block of the master graph passes the masks
-that `decompose.block_masks` builds.  Every caller checks the node bound
-before any mask is built.  Last come the two conditional-model
-simplifications: deleting arcs into fully-observed nodes, and deleting
-edges between observed nodes whose common neighbors are all observed.
+`max_cliques` builds the masks from an `UndirectedGraph`'s adjacency; a
+block of the master graph passes the masks that `decompose.block_masks`
+builds.  Every caller checks the node bound before any mask is built.
+Last come the two conditional-model simplifications: deleting arcs into
+fully-observed nodes, and deleting edges between observed nodes whose
+common neighbors are all observed.
 """
 
 from __future__ import annotations
 
 import re
-from typing import AbstractSet, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import ChainGraph, Edge, GraphError
 
@@ -208,12 +207,21 @@ def moralize_chain(g: ChainGraph) -> UndirectedGraph:
 
 
 def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list[frozenset[str]]:
-    """All maximal cliques, canonically ordered.
+    """All maximal cliques, sorted by their members' positions.
 
-    Bron-Kerbosch with pivoting; exponential in the worst case, so graphs
-    larger than ``node_bound`` nodes are refused.
+    The kernel `clique_ids` over masks built from the adjacency; it is
+    exponential in the worst case, so graphs larger than ``node_bound``
+    nodes are refused before any mask is built.
     """
-    return maximal_cliques(ug._adj, ug._index.__getitem__, node_bound)
+    check_clique_bound(len(ug), node_bound)
+    nodes, local = ug.node_names, ug._index
+    masks = []
+    for i, n in enumerate(nodes):
+        m = 0
+        for y in ug._adj[n]:
+            m |= 1 << local[y]
+        masks.append(m & ~(1 << i))
+    return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks)]
 
 
 def check_clique_bound(n: int, node_bound: int = MAX_CLIQUE_NODES) -> None:
@@ -223,27 +231,6 @@ def check_clique_bound(n: int, node_bound: int = MAX_CLIQUE_NODES) -> None:
         raise CliqueBoundError(
             f"clique enumeration graph has {n} nodes, over the limit of {node_bound}"
         )
-
-
-def maximal_cliques(
-    adj: Mapping[str, AbstractSet[str]],
-    position: Callable[[str], int],
-    node_bound: int = MAX_CLIQUE_NODES,
-) -> list[frozenset[str]]:
-    """The maximal cliques of the graph given by a symmetric adjacency map,
-    sorted by their members' positions.  :func:`max_cliques` is this over
-    an :class:`UndirectedGraph`; ``ConditionalSubgraph.cliques`` runs the
-    same kernel, `clique_ids`, on a block's parent-extended masks."""
-    check_clique_bound(len(adj), node_bound)
-    nodes = sorted(adj, key=position)
-    local = {n: i for i, n in enumerate(nodes)}
-    masks = []
-    for i, n in enumerate(nodes):
-        m = 0
-        for y in adj[n]:
-            m |= 1 << local[y]
-        masks.append(m & ~(1 << i))
-    return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks)]
 
 
 def clique_ids(masks: Sequence[int]) -> list[tuple[int, ...]]:
@@ -293,32 +280,13 @@ def clique_ids(masks: Sequence[int]) -> list[tuple[int, ...]]:
     return found
 
 
-def separates(ug: UndirectedGraph, q: CiQuery) -> bool:
-    """True iff every path from A to B passes through S."""
-    for n in q.a | q.b | q.s:
-        ug.index(n)
-    blocked = set(q.s)
-    seen = set(q.a)
-    todo = list(q.a)
-    while todo:
-        x = todo.pop()
-        for y in ug.neighbors(x):
-            if y in blocked or y in seen:
-                continue
-            if y in q.b:
-                return False
-            seen.add(y)
-            todo.append(y)
-    return True
-
-
 def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
     """Does the graph imply A _||_ B | S for every distribution it admits?
 
     Sound for all distributions that factorize according to the graph
     (positivity needed on undirected components); not complete in general.
 
-    Equal to ``separates(moralize_chain(g.induced(anterior)), q)``, without
+    Equal to separation in ``moralize_chain(g.induced(anterior))``, without
     building either graph: the walk goes from A, stopping at S, over the
     moral graph of the anterior set as read off ``g`` itself (its adjacency
     sets are read, not copied).
@@ -386,27 +354,15 @@ def separated_pairs(members: Sequence[str], moral: Mapping[str, AbstractSet[str]
 def simplify_conditional_directed(g: ChainGraph) -> ChainGraph:
     """Delete arcs into every observed node whose parents are all observed.
 
-    Applies to directed conditional models; repeated until nothing changes.
-    The conditional of hidden given observed is preserved.
+    Applies to directed conditional models.  One pass suffices: a deletion
+    removes only arcs into an observed node, so no other node's parents
+    change.  The conditional of hidden given observed is preserved.
     """
     if not g.is_directed:
         raise GraphError("simplify_conditional_directed requires a purely directed graph")
-    edges = list(g.edges)
-    while True:
-        drop: set[Edge] = set()
-        incoming: dict[str, list[Edge]] = {}
-        for e in edges:
-            incoming.setdefault(e.v, []).append(e)
-        for x in g.node_names:
-            if not g.attr(x).observed:
-                continue
-            parents = {e.u for e in incoming.get(x, ())}
-            if parents and all(g.attr(p).observed for p in parents):
-                drop.update(incoming[x])
-        if not drop:
-            break
-        edges = [e for e in edges if e not in drop]
-    return ChainGraph(g.attrs(), edges)
+    observed = {x for x in g.node_names if g.attr(x).observed}
+    cut = {x for x in observed if g.parents(x) <= observed}
+    return ChainGraph(g.attrs(), [e for e in g.edges if e.v not in cut])
 
 
 def simplify_conditional_undirected(g: ChainGraph) -> ChainGraph:

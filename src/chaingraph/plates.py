@@ -120,6 +120,12 @@ class PlateModel:
         """Plates containing v, outermost first (depth, then declaration)."""
         return self._membership.get(v, ())
 
+    def unnested(self, v: str) -> list[Plate]:
+        """The plates of v off the path of its innermost plate: empty when
+        v's plates nest, one inside the next."""
+        chain = self.membership(v)
+        return [p for p in chain if p not in self.path(chain[-1])] if chain else []
+
     def walk(self, p: Plate) -> Iterator[tuple[int, Plate | str | None]]:
         """Pre-order walk of p's subtree, each item tagged with its depth:
         ``(d, p)`` where p has depth d, then ``(d + 1, v)`` for each node v
@@ -342,8 +348,7 @@ def _index_set_label(m: PlateModel, p: Plate) -> str:
 def _symbolic_expression(m: PlateModel) -> FactorExpression:
     g = m.graph
     for v in g.node_names:
-        chain = m.membership(v)
-        if chain and chain != m.path(chain[-1]):
+        if m.unnested(v):
             raise FactorError(
                 f"node {v!r} sits in overlapping plates; no nested product form exists — bind the plates instead"
             )

@@ -30,7 +30,6 @@ from chaingraph import (
     expand,
     factorize_chain,
     factorize_plated,
-    factorize_undirected,
     marginal_deviation,
     parse,
     render,
@@ -309,8 +308,8 @@ def test_acceptance_8_observed_edge_dropping_keeps_conditional():
         if not hidden or not observed:
             continue
         g2 = simplify_conditional_undirected(g)
-        e = factorize_undirected(g)
-        e2 = factorize_undirected(g2)
+        e = factorize_chain(g)
+        e2 = factorize_chain(g2)
         pa = random_assignment(e, seed=rng.randrange(2**31))
         pa2 = dict(random_assignment(e2, seed=rng.randrange(2**31)))
 

@@ -14,7 +14,6 @@ from chaingraph import (
     directed,
     eliminate_deterministic,
     factorize_chain,
-    factorize_undirected,
     master_graph,
     render,
     render_term,
@@ -80,18 +79,6 @@ def test_latex_variable_treatment(graphs):
     assert "p(s)" in text
     assert r"p(S \mid s)" in text
     assert r"f_{1}(c,Q,T)" in text
-
-
-def test_factorize_flavor_guards(graphs):
-    with pytest.raises(GraphError):
-        factorize_undirected(graphs["fig1a"])
-
-
-def test_factorize_undirected_plain():
-    g = ChainGraph("abc", [undirected("a", "b"), undirected("b", "c")])
-    e = factorize_undirected(g)
-    assert render(e) == "f_0(a,b) f_1(b,c) Z^-1"
-    assert e.free_vars == frozenset("abc")
 
 
 def test_parentless_blocks_get_numbered_normalizers():

@@ -24,7 +24,6 @@ from chaingraph import (
     eliminated_assignment,
     expand,
     factorize_chain,
-    factorize_undirected,
     implies_ci,
     marginal_deviation,
     undirected,
@@ -82,12 +81,13 @@ def test_delta_tables_are_one_hot():
 
 
 def test_normalizers_are_computed_not_random(graphs):
-    g = ChainGraph("ab", [undirected("a", "b")])
-    e = factorize_undirected(g)
+    g = ChainGraph("abc", [undirected("a", "b"), undirected("b", "c")])
+    e = factorize_chain(g)
+    assert [t.name() for t in e.terms] == ["Z^-1", "f_0(a,b)", "f_1(b,c)"]
     pa = random_assignment(e, seed=5)
-    f = pa["f_0(a,b)"].table
+    f0, f1 = pa["f_0(a,b)"].table, pa["f_1(b,c)"].table
     z = pa["Z^-1"].table
-    np.testing.assert_allclose(z, 1.0 / f.sum())
+    np.testing.assert_allclose(z, 1.0 / np.einsum("ab,bc->", f0, f1))
 
 
 def test_parentless_block_normalizers_are_distinct():

@@ -356,8 +356,12 @@ def test_unbound_overlapping_plates_rejected():
         [Plate("P", "N", frozenset("x")), Plate("Q", "M", frozenset("x"))],
     )
     assert validate_plates(m).ok  # structurally fine ...
-    with pytest.raises(FactorError, match="bind the plates"):
+    assert [p.name for p in m.unnested("x")] == ["P"]
+    with pytest.raises(FactorError) as err:
         factorize_plated(m)  # ... but it has no nested-product form
+    assert str(err.value) == (
+        "node 'x' sits in overlapping plates; no nested product form exists — bind the plates instead"
+    )
     e = factorize_plated(m, {"N": 2, "M": 2})  # binding works fine
     assert render(e) == "p(x_1_1) p(x_1_2) p(x_2_1) p(x_2_2)"
 
