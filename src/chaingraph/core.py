@@ -6,6 +6,11 @@ following arcs forward and undirected edges either way while using at least
 one arc.  :class:`ChainGraph` stores the nodes and edges; it is immutable
 after construction, and node declaration order fixes every canonical
 ordering used downstream (partitions, clique listings, factor terms).
+Inside, a node is its declaration position, its id: each node's parents,
+children and neighbours are tuples of ids, and the cached
+:class:`ComponentIndex` (the chain components, each node's component and
+each component's parents) holds ids too.  Names are translated only at
+the public methods, which take and return names.
 
 :func:`validate_chain_graph` performs the semantic checks and reports
 violations with witness cycles rather than raising, so callers that collect
@@ -18,7 +23,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -103,6 +108,11 @@ class ChainGraph:
     names, which get default attributes); its iteration order becomes the
     canonical node order.  At most one edge of any kind may join a pair of
     nodes, and self-loops are rejected outright.
+
+    Inside, node i is the i-th declared node: ``_index`` maps a name to its
+    id, and ``_pa[i]``, ``_ch[i]`` and ``_nb[i]`` hold the ids of node i's
+    parents, children and neighbours as tuples.  Names appear only at the
+    public methods, which take and return them.
     """
 
     def __init__(self, nodes: Mapping[str, NodeAttr] | Iterable[str], edges: Iterable[Edge] = ()):
@@ -110,65 +120,69 @@ class ChainGraph:
             items = list(nodes.items())
         else:
             items = [(name, _DEFAULT_ATTR) for name in nodes]
-        self._attrs: dict[str, NodeAttr] = {}
+        index: dict[str, int] = {}
+        attrs: list[NodeAttr] = []
         for name, attr in items:
             if not name:
                 raise GraphError("empty node name")
-            if name in self._attrs:
+            if name in index:
                 raise GraphError(f"duplicate node {name!r}")
             if not isinstance(attr, NodeAttr):
                 raise GraphError(f"node {name!r}: expected NodeAttr, got {type(attr).__name__}")
-            self._attrs[name] = attr
-        self._index = {name: i for i, name in enumerate(self._attrs)}
+            index[name] = len(attrs)
+            attrs.append(attr)
+        self._names = names = tuple(index)
+        self._attr = tuple(attrs)
+        self._index = index
 
-        self._edges: list[Edge] = []
-        parents: dict[str, set[str]] = {n: set() for n in self._attrs}
-        children: dict[str, set[str]] = {n: set() for n in self._attrs}
-        neighbors: dict[str, set[str]] = {n: set() for n in self._attrs}
-        for e in edges:
-            u, v = e.u, e.v
-            if u not in self._attrs or v not in self._attrs:
-                missing = u if u not in self._attrs else v
-                raise GraphError(f"edge endpoint {missing!r} is not a declared node")
-            if u == v:
+        n = len(names)
+        self._edges = edges = list(edges)
+        pa: list[list[int]] = [[] for _ in names]
+        ch: list[list[int]] = [[] for _ in names]
+        nb: list[list[int]] = [[] for _ in names]
+        pairs: set[int] = set()  # u * n + v for each joined pair of ids u < v
+        get = index.get
+        for u, v, arc in edges:
+            iu, iv = get(u), get(v)
+            if iu is None or iv is None:
+                raise GraphError(f"edge endpoint {u if iu is None else v!r} is not a declared node")
+            if iu == iv:
                 raise GraphError(f"self-loop on {u!r}")
-            if v in parents[u] or v in children[u] or v in neighbors[u]:
+            key = iu * n + iv if iu < iv else iv * n + iu
+            if key in pairs:
                 raise GraphError(f"more than one edge between {u!r} and {v!r}")
-            self._edges.append(e)
-            if e.directed:
-                parents[v].add(u)
-                children[u].add(v)
+            pairs.add(key)
+            if arc:
+                pa[iv].append(iu)
+                ch[iu].append(iv)
             else:
-                neighbors[u].add(v)
-                neighbors[v].add(u)
-        self._parents = parents
-        self._children = children
-        self._neighbors = neighbors
+                nb[iu].append(iv)
+                nb[iv].append(iu)
+        self._pa = tuple(map(tuple, pa))
+        self._ch = tuple(map(tuple, ch))
+        self._nb = tuple(map(tuple, nb))
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def node_names(self) -> tuple[str, ...]:
-        return tuple(self._attrs)
+        return self._names
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(self._edges)
 
     def __len__(self) -> int:
-        return len(self._attrs)
+        return len(self._names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._attrs
+        return name in self._index
 
     def attr(self, name: str) -> NodeAttr:
-        try:
-            return self._attrs[name]
-        except KeyError:
-            raise _unknown(name) from None
+        return self._attr[self.index(name)]
 
     def attrs(self) -> dict[str, NodeAttr]:
-        return dict(self._attrs)
+        return dict(zip(self._names, self._attr))
 
     def index(self, name: str) -> int:
         try:
@@ -183,6 +197,13 @@ class ChainGraph:
         except KeyError as exc:
             raise _unknown(exc.args[0]) from None
 
+    def _ids(self, names: Iterable[str]) -> list[int]:
+        """The ids of ``names``, each checked."""
+        return [self.index(n) for n in names]
+
+    def _named(self, ids: Iterable[int]) -> frozenset[str]:
+        return frozenset(map(self._names.__getitem__, ids))
+
     @property
     def is_directed(self) -> bool:
         """True when the graph contains no undirected edge."""
@@ -195,48 +216,34 @@ class ChainGraph:
 
     def has_edge(self, u: str, v: str) -> bool:
         """Adjacency of any kind between u and v."""
-        self._check(u)
-        self._check(v)
-        return v in self._neighbors[u] or v in self._children[u] or v in self._parents[u]
+        i, j = self.index(u), self.index(v)
+        return j in self._nb[i] or j in self._ch[i] or j in self._pa[i]
 
     def deterministic_nodes(self) -> tuple[str, ...]:
-        return tuple(n for n, a in self._attrs.items() if a.deterministic)
+        return tuple(n for n, a in zip(self._names, self._attr) if a.deterministic)
 
     def observed_nodes(self) -> tuple[str, ...]:
-        return tuple(n for n, a in self._attrs.items() if a.observed)
+        return tuple(n for n, a in zip(self._names, self._attr) if a.observed)
 
     # -- local structure ---------------------------------------------------
 
     def parents(self, x: str) -> frozenset[str]:
         """Sources of arcs pointing into x."""
-        try:
-            return frozenset(self._parents[x])
-        except KeyError:
-            raise _unknown(x) from None
+        return self._named(self._pa[self.index(x)])
 
     def children(self, x: str) -> frozenset[str]:
         """Targets of arcs leaving x."""
-        try:
-            return frozenset(self._children[x])
-        except KeyError:
-            raise _unknown(x) from None
+        return self._named(self._ch[self.index(x)])
 
     def neighbors(self, x: str) -> frozenset[str]:
         """Nodes joined to x by an undirected edge."""
-        try:
-            return frozenset(self._neighbors[x])
-        except KeyError:
-            raise _unknown(x) from None
+        return self._named(self._nb[self.index(x)])
 
     def parents_of_set(self, a: Iterable[str]) -> frozenset[str]:
         """Union of the members' parents, minus the set itself."""
-        a = set(a)
-        for n in a:
-            self._check(n)
-        out: set[str] = set()
-        for n in a:
-            out |= self._parents[n]
-        return frozenset(out - a)
+        ids = set(self._ids(a))
+        pa = self._pa
+        return self._named({p for i in ids for p in pa[i]} - ids)
 
     # -- closures ------------------------------------------------------------
 
@@ -244,57 +251,41 @@ class ChainGraph:
         """Least set containing the seed and closed under parents and neighbors
         (the anterior set).  It is a union of whole chain components, and it
         holds the parents of each of them."""
-        todo: list[str] = []
-        out: set[str] = set()
-        for n in seed:
-            self._check(n)
-            if n not in out:
-                out.add(n)
-                todo.append(n)
-        parents, neighbors = self._parents, self._neighbors
-        while todo:
-            x = todo.pop()
-            for frontier in (parents[x], neighbors[x]):
-                for y in frontier:
-                    if y not in out:
-                        out.add(y)
-                        todo.append(y)
-        return frozenset(out)
+        index = self.component_index
+        inside = index.anterior(self._ids(seed))
+        return self._named(i for k, comp in enumerate(index.components) if inside[k] for i in comp)
 
     def non_deterministic_children(self, x: str) -> frozenset[str]:
         """Stochastic nodes reachable from x by arcs through deterministic
         intermediates only (direct stochastic children included)."""
-        self._check(x)
-        out: set[str] = set()
-        seen_dets: set[str] = set()
-        todo = deque([x])
+        ch, attr = self._ch, self._attr
+        out: set[int] = set()
+        seen_dets: set[int] = set()
+        todo = deque([self.index(x)])
         while todo:
-            cur = todo.popleft()
-            for ch in self._children[cur]:
-                if self._attrs[ch].deterministic:
-                    if ch not in seen_dets:
-                        seen_dets.add(ch)
-                        todo.append(ch)
+            for c in ch[todo.popleft()]:
+                if attr[c].deterministic:
+                    if c not in seen_dets:
+                        seen_dets.add(c)
+                        todo.append(c)
                 else:
-                    out.add(ch)
-        return frozenset(out)
+                    out.add(c)
+        return self._named(out)
 
     # -- derived graphs ------------------------------------------------------
 
     def induced(self, subset: Iterable[str]) -> "ChainGraph":
         """Subgraph on the given nodes, keeping declaration order and attrs."""
         keep = set(subset)
-        for n in keep:
-            self._check(n)
-        nodes = {n: a for n, a in self._attrs.items() if n in keep}
+        self._ids(keep)
+        nodes = {n: a for n, a in zip(self._names, self._attr) if n in keep}
         edges = [e for e in self._edges if e.u in keep and e.v in keep]
         return ChainGraph(nodes, edges)
 
     def with_attrs(self, updates: Mapping[str, NodeAttr]) -> "ChainGraph":
         """Copy of the graph with some node attributes replaced."""
-        for n in updates:
-            self._check(n)
-        nodes = {n: updates.get(n, a) for n, a in self._attrs.items()}
+        self._ids(updates)
+        nodes = {n: updates.get(n, a) for n, a in zip(self._names, self._attr)}
         return ChainGraph(nodes, self._edges)
 
     def observe(self, names: Iterable[str]) -> "ChainGraph":
@@ -309,19 +300,22 @@ class ChainGraph:
         """The chain components, computed on first use and kept: the graph
         never changes, and every copy (`induced`, `with_attrs`, `observe`)
         is a new graph with its own index."""
-        comps = tuple(tuple(c) for c in self._components(self._neighbors.__getitem__))
-        component_of = {n: k for k, comp in enumerate(comps) for n in comp}
-        parents = self._parents
+        pa = self._pa
+        comps = self._components(self._nb)
+        component_of = [0] * len(pa)
         comp_parents = []
         inner_arcs = False
-        for comp in comps:
+        for k, comp in enumerate(comps):
             if len(comp) == 1:  # no self-loops: a lone node's parents lie outside it
-                comp_parents.append(frozenset(parents[comp[0]]))
+                component_of[comp[0]] = k
+                comp_parents.append(pa[comp[0]])
                 continue
-            ps = set().union(*(parents[n] for n in comp))
-            if not ps.isdisjoint(comp):
-                inner_arcs = True
-            comp_parents.append(frozenset(ps.difference(comp)))
+            for i in comp:
+                component_of[i] = k
+            ps = {p for i in comp for p in pa[i]}
+            outside = ps.difference(comp)
+            inner_arcs = inner_arcs or len(outside) < len(ps)
+            comp_parents.append(tuple(sorted(outside)))
         return ComponentIndex(comps, component_of, tuple(comp_parents), inner_arcs)
 
     def undirected_components(self) -> list[list[str]]:
@@ -329,72 +323,73 @@ class ChainGraph:
 
         Components are discovered in declaration order; singletons included.
         """
-        return [list(c) for c in self.component_index.components]
+        names = self._names
+        return [[names[i] for i in c] for c in self.component_index.components]
 
     def weak_components(self) -> list[list[str]]:
         """Connected components treating every edge as undirected."""
-        return self._components(
-            lambda n: self._neighbors[n] | self._parents[n] | self._children[n]
-        )
+        names = self._names
+        comps = self._components([n + p + c for n, p, c in zip(self._nb, self._pa, self._ch)])
+        return [[names[i] for i in c] for c in comps]
 
-    def _components(self, adj) -> list[list[str]]:
-        seen: set[str] = set()
-        comps: list[list[str]] = []
-        for start in self._attrs:
-            if start in seen:
+    def _components(self, adj: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+        """Connected components of the ids under the rows ``adj``, each in
+        breadth first order from its first id, the components by first id."""
+        seen = bytearray(len(adj))
+        comps: list[tuple[int, ...]] = []
+        for start, row in zip(self._index.values(), adj):  # the ids, as the ints the tuples share
+            if seen[start]:
+                continue
+            seen[start] = 1
+            if not row:
+                comps.append((start,))
                 continue
             comp = [start]
-            seen.add(start)
             for x in comp:  # breadth first: the list is its own queue
-                for y in adj(x):
-                    if y not in seen:
-                        seen.add(y)
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = 1
                         comp.append(y)
-            comps.append(comp)
-        return comps
+            comps.append(tuple(comp))
+        return tuple(comps)
 
     def undirected_path(self, src: str, dst: str) -> list[str]:
         """Some path from src to dst using undirected edges only."""
-        self._check(src)
-        self._check(dst)
-        prev: dict[str, str | None] = {src: None}
-        todo = deque([src])
+        start, goal = self.index(src), self.index(dst)
+        prev: dict[int, int] = {start: -1}
+        todo = deque([start])
         while todo:
             x = todo.popleft()
-            if x == dst:
+            if x == goal:
                 path = [x]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])  # type: ignore[arg-type]
-                path.reverse()
-                return path
-            for y in self._neighbors[x]:
+                while prev[path[-1]] >= 0:
+                    path.append(prev[path[-1]])
+                return [self._names[i] for i in reversed(path)]
+            for y in self._nb[x]:
                 if y not in prev:
                     prev[y] = x
                     todo.append(y)
         raise GraphError(f"no undirected path from {src!r} to {dst!r}")
 
-    def _check(self, name: str) -> None:
-        if name not in self._attrs:
-            raise _unknown(name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ChainGraph(nodes={len(self._attrs)}, edges={len(self._edges)})"
+        return f"ChainGraph(nodes={len(self._names)}, edges={len(self._edges)})"
 
 
 class ComponentIndex:
     """A graph's chain components (connected components under undirected
     edges), in discovery order as :meth:`ChainGraph.undirected_components`
-    lists them.  ``component_of`` maps each node to its component's
-    position and is not to be modified; ``parents[i]`` is the union of the
-    parents of component i's members, minus the component itself.
-    ``inner_arcs`` says whether some arc joins two members of one
+    lists them, each a tuple of node ids.  ``component_of[i]`` is the
+    position of node i's component, and is not to be modified;
+    ``parents[k]`` holds the ids of the parents of component k's members
+    that lie outside it (a single node's own parent tuple, or ascending
+    ids).  ``inner_arcs`` says whether some arc joins two members of one
     component, that is whether a member's parents meet its own component."""
 
     def __init__(
         self,
-        components: tuple[tuple[str, ...], ...],
-        component_of: dict[str, int],
-        parents: tuple[frozenset[str], ...],
+        components: tuple[tuple[int, ...], ...],
+        component_of: list[int],
+        parents: tuple[tuple[int, ...], ...],
         inner_arcs: bool,
     ) -> None:
         self.components = components
@@ -409,12 +404,25 @@ class ComponentIndex:
             other.components, other.component_of, other.parents, other.inner_arcs
         )
 
-    @cached_property
-    def sources(self) -> tuple[frozenset[int], ...]:
-        """``sources[j]``: the components holding component j's parents,
-        that is the tails of the quotient arcs into j."""
-        comp_of = self.component_of.__getitem__
-        return tuple(frozenset(map(comp_of, ps)) for ps in self.parents)
+    def anterior(self, seed: Iterable[int]) -> bytearray:
+        """Marks of the components in the anterior set of the node ids
+        ``seed``: the components holding them and every component with a
+        quotient path into one of those (``inside[k]`` is 1 for each)."""
+        comp_of, parents = self.component_of, self.parents
+        inside = bytearray(len(self.components))
+        todo = []
+        for i in seed:
+            k = comp_of[i]
+            if not inside[k]:
+                inside[k] = 1
+                todo.append(k)
+        while todo:
+            for p in parents[todo.pop()]:
+                j = comp_of[p]
+                if not inside[j]:
+                    inside[j] = 1
+                    todo.append(j)
+        return inside
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -423,11 +431,12 @@ class ComponentIndex:
         components keep declaration order wherever the arcs allow.  It is
         shorter than ``components`` exactly when the quotient has a cycle,
         and then lists only the components that no cycle reaches."""
+        comp_of = self.component_of
         succ: list[list[int]] = [[] for _ in self.components]
-        indeg = [len(src) for src in self.sources]
-        for j, src in enumerate(self.sources):
-            for i in src:
-                succ[i].append(j)
+        indeg = [len(ps) for ps in self.parents]  # one count per arc: Kahn's pass needs no merging
+        for j, ps in enumerate(self.parents):
+            for p in ps:
+                succ[comp_of[p]].append(j)
         ready = [j for j, d in enumerate(indeg) if not d]  # ascending: already a heap
         emit: list[int] = []
         while ready:
@@ -484,8 +493,9 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     if cyclic:
         quotient = {i: {} for i in range(len(comps))}
     arcs = [e for e in g._edges if e.directed] if cyclic or index.inner_arcs else []
+    ids = g._index
     for e in arcs:
-        cu, cv = comp_of[e.u], comp_of[e.v]
+        cu, cv = comp_of[ids[e.u]], comp_of[ids[e.v]]
         if cu == cv:
             back = g.undirected_path(e.v, e.u)
             cycle = (e.u, *back[:-1])
@@ -500,8 +510,8 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
         first_edge = quotient[comp_cycle[0]][comp_cycle[1]]
         errors.append(Violation("semi-directed-cycle", msg, nodes=nodes, edge=first_edge))
 
-    for n, a in g._attrs.items():
-        if a.deterministic and not g._parents[n]:
+    for n, a, ps in zip(g._names, g._attr, g._pa):
+        if a.deterministic and not ps:
             errors.append(
                 Violation(
                     "deterministic-without-parents",

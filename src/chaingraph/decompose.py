@@ -16,13 +16,13 @@ Each block of the master graph is packaged as a conditional subgraph: the
 chain component together with its parents, the parents marked observed.
 No completion edges are added: two parents are adjacent only when the graph
 joins them.  `block_masks` builds that parent-extended adjacency for the
-clique kernel: it numbers the block and its parents 0..n-1 in node-position
-order and gives each the int bitmask of its neighbours, read straight off
-the graph's parent and neighbour sets in time proportional to the block
-and its parents.  The factorizer hands those masks to the clique kernel
-(`markov.clique_ids`), and so do a conditional subgraph's `cliques`, built
-on first use.  A conditional subgraph's `adjacency` map and its `graph`
-share one walk of the same sets and build no masks, whose ints are as wide
+clique kernel: it takes the node ids of the block and its parents, numbers
+them 0..n-1 in ascending id (node-position) order and gives each the int
+bitmask of its neighbours, read straight off the graph's parent and
+neighbour id tuples in time proportional to the block and its parents.
+The factorizer hands those masks to the clique kernel (`markov.clique_ids`),
+and so do a conditional subgraph's `cliques`, built on first use.  A conditional subgraph's `adjacency` map and its `graph`
+share one walk of the same tuples and build no masks, whose ints are as wide
 as the block.  No graph is built per block unless one is asked for
 (`ConditionalSubgraph.graph`).  `block_order` is the one emission order,
 and the one place that refuses a cyclic quotient.
@@ -31,7 +31,7 @@ and the one place that refuses a cyclic quotient.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import ChainGraph, Edge, GraphError
 from .markov import check_clique_bound, clique_ids
@@ -72,7 +72,8 @@ def chain_components(g: ChainGraph) -> Partition:
 
     Read off the graph's cached :attr:`ChainGraph.component_index`, whose
     discovery order is already the canonical block order."""
-    return Partition(tuple(frozenset(c) for c in g.component_index.components))
+    name = g.node_names.__getitem__
+    return Partition(tuple(frozenset(map(name, c)) for c in g.component_index.components))
 
 
 def component_subgraphs(g: ChainGraph) -> Partition:
@@ -89,38 +90,43 @@ def component_subgraphs(g: ChainGraph) -> Partition:
     return Partition.from_blocks(g, blocks)
 
 
-def block_masks(g: ChainGraph, members: Iterable[str], parents: frozenset[str]) -> tuple[tuple[str, ...], list[int]]:
+def block_masks(g: ChainGraph, members: Sequence[int], parents: Sequence[int]) -> tuple[list[int], list[int]]:
     """The parent-extended graph of a block with directions dropped, on
-    local ids: the block's members and ``parents`` in node-position order,
-    and for each the bitmask of its neighbours by local id.  A member is
-    adjacent to its parents and neighbours; a parent to the members it
-    points into and to the other parents it shares an edge with.  Edges
-    are read from the head's side (a node's parents and neighbours), so a
-    hub parent's children outside the block are never looked at."""
-    nodes = g.sorted_nodes((*members, *parents))
-    local = {n: i for i, n in enumerate(nodes)}
+    local ids: the node ids of the block's ``members`` and ``parents`` in
+    ascending (node-position) order, and for each the bitmask of its
+    neighbours by local id.  A member is adjacent to its parents and
+    neighbours; a parent to the members it points into and to the other
+    parents it shares an edge with.  Edges are read from the head's side (a
+    node's parents and neighbours), so a hub parent's children outside the
+    block are never looked at."""
+    nodes = sorted((*members, *parents))
+    local = {x: i for i, x in enumerate(nodes)}
     masks = [0] * len(nodes)
-    g_parents, g_neighbors = g._parents, g._neighbors
+    pa, nb = g._pa, g._nb
     for x in members:
         i = local[x]
         m = masks[i]
-        for y in g_neighbors[x]:
+        for y in nb[x]:
             m |= 1 << local[y]
-        for p in g_parents[x]:
+        for p in pa[x]:
             j = local[p]
             m |= 1 << j
             masks[j] |= 1 << i
         masks[i] = m
+    # a parent's parent or neighbour found in the block is another parent: a
+    # member there would put the parent in the component, or make the
+    # quotient cyclic, which `block_order` refuses before any block is built
     for p in parents:
         j = local[p]
-        for q in g_parents[p]:
-            if q in parents:
-                k = local[q]
+        for q in pa[p]:
+            k = local.get(q)
+            if k is not None:
                 masks[j] |= 1 << k
                 masks[k] |= 1 << j
-        for q in g_neighbors[p]:
-            if q in parents:
-                masks[j] |= 1 << local[q]
+        for q in nb[p]:
+            k = local.get(q)
+            if k is not None:
+                masks[j] |= 1 << k
     return nodes, masks
 
 
@@ -142,22 +148,29 @@ class ConditionalSubgraph:
         self.flavor = flavor  # "directed" | "undirected"
         self.source = source
 
+    def _ids(self) -> tuple[list[int], list[int]]:
+        g = self.source
+        return g._ids(self.own_nodes), g._ids(self.parent_nodes)
+
     @cached_property
     def _masks(self) -> tuple[tuple[str, ...], list[int]]:
-        return block_masks(self.source, self.own_nodes, self.parent_nodes)
+        ids, masks = block_masks(self.source, *self._ids())
+        return tuple(map(self.source.node_names.__getitem__, ids)), masks
 
     def _edges(self) -> tuple[tuple[str, ...], list[tuple[str, str, bool]]]:
         """The block and its parents in node order, and every edge among
         them as (u, v, is_arc), read from the head's side as in
         :func:`block_masks`."""
         g = self.source
-        nodes = g.sorted_nodes(self.own_nodes | self.parent_nodes)
-        keep = frozenset(nodes)
+        own, parents = self._ids()
+        ids = sorted(own + parents)
+        keep = set(ids)
+        name, pa, nb = g.node_names, g._pa, g._nb
         edges = []
-        for v in nodes:
-            edges.extend((u, v, True) for u in g._parents[v] & keep)
-            edges.extend((u, v, False) for u in g._neighbors[v] & keep if u < v)
-        return nodes, edges
+        for v in ids:
+            edges.extend((name[u], name[v], True) for u in pa[v] if u in keep)
+            edges.extend((name[u], name[v], False) for u in nb[v] if u < v and u in keep)
+        return tuple(name[i] for i in ids), edges
 
     @cached_property
     def graph(self) -> ChainGraph:
@@ -203,15 +216,15 @@ class MasterGraph:
 
     @cached_property
     def blocks(self) -> tuple[frozenset[str], ...]:
-        comps = self.source.component_index.components
-        return tuple(frozenset(comps[k]) for k in self.order)
+        comps, name = self.source.component_index.components, self.source.node_names.__getitem__
+        return tuple(frozenset(map(name, comps[k])) for k in self.order)
 
     @cached_property
     def subgraphs(self) -> tuple[ConditionalSubgraph, ...]:
         g = self.source
         parents = g.component_index.parents
         return tuple(
-            ConditionalSubgraph(own, parents[k], "undirected" if len(own) > 1 else "directed", g)
+            ConditionalSubgraph(own, g._named(parents[k]), "undirected" if len(own) > 1 else "directed", g)
             for k, own in zip(self.order, self.blocks)
         )
 
@@ -221,8 +234,9 @@ class MasterGraph:
         position = [0] * len(self.order)
         for new, old in enumerate(self.order):
             position[old] = new
-        sources = self.source.component_index.sources
-        return tuple(sorted((position[i], position[j]) for j, src in enumerate(sources) for i in src))
+        index = self.source.component_index
+        comp_of = index.component_of
+        return tuple(sorted({(position[comp_of[p]], position[j]) for j, ps in enumerate(index.parents) for p in ps}))
 
 
 def block_order(g: ChainGraph) -> tuple[int, ...]:
@@ -235,8 +249,9 @@ def block_order(g: ChainGraph) -> tuple[int, ...]:
     comps, emit = index.components, index.order
     if len(emit) != len(comps):
         emitted = set(emit)
+        name = g.node_names
         names = "; ".join(
-            "{" + " ".join(g.sorted_nodes(c)) + "}" for k, c in enumerate(comps) if k not in emitted
+            "{" + " ".join(name[i] for i in sorted(c)) + "}" for k, c in enumerate(comps) if k not in emitted
         )
         raise GraphError(
             "chain components admit no topological order (the graph has a "

@@ -18,7 +18,8 @@ among components whose parents are all emitted, the one declared first
 goes next); within an undirected block the normalizer comes first, then
 potentials in canonical clique order.  Potential labels count up globally
 through the expression.  `_block_terms` makes one pass over the cached
-component index in that order, with no conditional subgraph per block: a
+component index in that order, with no conditional subgraph per block and
+on node ids throughout, mapping ids to names only as it emits a term: a
 single node emits its conditional or delta directly, and an undirected
 block runs the clique kernel on its `decompose.block_masks`, whose
 ascending local ids already give each clique's members in node order.
@@ -36,11 +37,16 @@ variable cancel.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import ChainGraph, Edge, GraphError
 from .decompose import block_masks, block_order
 from .markov import check_clique_bound, clique_ids
+
+# `_new(FactorTerm, fields)` builds a term from all five fields without the
+# keyword-handling ``__new__``; the factorizer's loops make one per term
+_new = tuple.__new__
 
 
 class FactorError(ValueError):
@@ -101,8 +107,13 @@ class FactorExpression:
         self.sum_out = sum_out
         self.denom_sum = denom_sum
 
-    @property
+    @cached_property
     def terms(self) -> tuple[FactorTerm, ...]:
+        """Every term in product order, plate products flattened; built on
+        first use (only the constructor assigns ``items``), and ``items``
+        itself when it holds no plate product."""
+        if not any(isinstance(it, PlateProduct) for it in self.items):
+            return self.items
         return tuple(_walk_terms(self.items))
 
     @property
@@ -141,51 +152,58 @@ def _metadata(g: ChainGraph) -> dict:
 
 
 def _undirected_terms(
-    g: ChainGraph, comp: tuple[str, ...], parents: frozenset[str], start_label: int, group: int
+    g: ChainGraph, comp: tuple[int, ...], parents: tuple[int, ...], start_label: int, group: int
 ) -> tuple[list[FactorTerm], int]:
-    """Terms for a chain component of two or more nodes: its normalizer,
-    then one potential per maximal clique of its parent-extended graph that
-    is not inside the parents.  Returns the next free label."""
+    """Terms for a chain component of two or more nodes (ids, ``parents``
+    ascending): its normalizer, then one potential per maximal clique of
+    its parent-extended graph that is not inside the parents.  Returns the
+    next free label."""
     check_clique_bound(len(comp) + len(parents))
     nodes, masks = block_masks(g, comp, parents)
-    name = nodes.__getitem__  # ids ascend, so each clique's members come in node order
-    cliques = [c for ids in clique_ids(masks) if not parents.issuperset(c := tuple(map(name, ids)))]
+    names = g.node_names
+    local = [names[x] for x in nodes]
+    inner = {names[p] for p in parents}
+    # every node of the block has a neighbour in it, so each maximal clique
+    # has two or more ids and itemgetter gives a tuple; ids ascend, so its
+    # members come in node order
+    cliques = [c for ids in clique_ids(masks) if not inner.issuperset(c := itemgetter(*ids)(local))]
     if not parents and len(cliques) == 1:
         return [FactorTerm("conditional", cliques[0])], start_label
 
     label = start_label
     if parents:
-        y = tuple(filter(parents.__contains__, nodes))
-        terms = [FactorTerm("normalizer", (), y, f"f_{label}", group)]
+        terms = [FactorTerm("normalizer", (), tuple([names[p] for p in parents]), f"f_{label}", group)]
         label += 1
     else:
         # no parents to range over: this is the plain partition function
         terms = [FactorTerm("normalizer", (), (), "Z", group)]
-    terms += [FactorTerm("potential", (), c, f"f_{k}", group) for k, c in enumerate(cliques, label)]
+    terms += [_new(FactorTerm, ("potential", (), c, f"f_{k}", group)) for k, c in enumerate(cliques, label)]
     return terms, label + len(cliques)
 
 
 def _block_terms(g: ChainGraph) -> list[tuple[tuple[str, ...], list[FactorTerm]]]:
-    """Each chain component with its terms, in one pass over the components
-    in :func:`block_order`.  A single node gives its conditional or delta
-    directly.  Potential labels count up across blocks; the normalizers of
-    parentless blocks are numbered Z_0, Z_1, ... when there are two or more
-    of them, so that term names stay unique."""
+    """Each chain component's names with its terms, in one pass over the
+    components in :func:`block_order`.  A single node gives its conditional
+    or delta directly.  Potential labels count up across blocks; the
+    normalizers of parentless blocks are numbered Z_0, Z_1, ... when there
+    are two or more of them, so that term names stay unique."""
     index = g.component_index
-    comps, comp_parents, attrs, position = index.components, index.parents, g._attrs, g._index.__getitem__
+    comps, comp_parents, attr, names = index.components, index.parents, g._attr, g.node_names
     blocks: list[tuple[tuple[str, ...], list[FactorTerm]]] = []
     zs: list[list[FactorTerm]] = []  # the term lists that open with Z
     label = 0
     for group, k in enumerate(block_order(g)):
         comp, parents = comps[k], comp_parents[k]
         if len(comp) == 1:
-            kind = "delta" if attrs[comp[0]].deterministic else "conditional"
-            blocks.append((comp, [FactorTerm(kind, comp, tuple(sorted(parents, key=position)))]))
+            x = comp[0]
+            head, given = (names[x],), tuple([names[p] for p in sorted(parents)])
+            kind = "delta" if attr[x].deterministic else "conditional"
+            blocks.append((head, [_new(FactorTerm, (kind, head, given, "", -1))]))
             continue
         terms, label = _undirected_terms(g, comp, parents, label, group)
         if terms[0].label == "Z":
             zs.append(terms)
-        blocks.append((comp, terms))
+        blocks.append((tuple([names[x] for x in comp]), terms))
     if len(zs) > 1:
         for n, terms in enumerate(zs):
             terms[0] = terms[0]._replace(label=f"Z_{n}")

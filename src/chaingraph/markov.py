@@ -4,16 +4,20 @@
 separation in the moral graph of the anterior set of A, B and S: their
 closure under parents and undirected neighbours.  Moralizing joins every
 pair of nodes with children in a common chain component, then drops arc
-directions.  No subgraph is built: the anterior set is a union of whole
-chain components, each holding its parents, so the moral neighbours of a
-node x in it are read off the graph and its cached component index --
-x's neighbours and parents, and each child c of x in the set together
-with the parents of c's component.  A walk from A that stops at S then
-either reaches B or not.  For a purely directed graph the same procedure
-degenerates to classic moralization of parents.  `moral_adjacency` applies
-the same rule to a whole node set at once: `moralize_chain` builds the
-whole moral graph from it, with no edge list in between, and
-`separated_pairs` reads the one of an anterior set.
+directions.  No subgraph is built, and the walk runs on node ids: the
+query's names are looked up once, and the anterior set is a union of whole
+chain components, each holding its parents, so `ComponentIndex.anterior`
+marks its components in a bytearray by their closure under the quotient
+arcs.  The moral neighbours of a node x in it are read off the graph's id
+tuples and its cached component index -- x's neighbours and parents, and
+each child c of x in a marked component together with the parents of c's
+component.  A walk from A that stops at S then either reaches B or not.
+For a purely directed graph the same procedure degenerates to classic
+moralization of parents.  `moralize_chain` applies the same rule to every
+node, one tuple of neighbour ids per node with no edge list in between,
+and `moral_adjacency` to the marked components of an anterior set, which
+`separated_pairs` reads.  An `UndirectedGraph` keeps names only at its
+public methods: inside, node i holds the tuple of its neighbours' ids.
 
 The module also hosts the one maximal-clique kernel, `clique_ids`:
 Bron-Kerbosch with Tomita pivoting over int bitmasks.  Its callers number
@@ -31,7 +35,7 @@ common neighbors are all observed.
 from __future__ import annotations
 
 import re
-from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import ChainGraph, Edge, GraphError
 
@@ -114,27 +118,30 @@ def parse_ci_query(text: str) -> CiQuery:
 
 
 class UndirectedGraph:
-    """Plain undirected graph with the node order of its source graph."""
+    """Plain undirected graph with the node order of its source graph.
+
+    Node i is the i-th node; ``_adj[i]`` is the tuple of its neighbours'
+    ids.  Names appear only at the public methods."""
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self._nodes = tuple(nodes)
-        self._index = {n: i for i, n in enumerate(self._nodes)}
-        if len(self._index) != len(self._nodes):
+        self._index = index = {n: i for i, n in enumerate(self._nodes)}
+        if len(index) != len(self._nodes):
             raise GraphError("duplicate node in undirected graph")
-        adj: dict[str, set[str]] = {n: set() for n in self._nodes}
+        adj: list[set[int]] = [set() for _ in self._nodes]
         for u, v in edges:
-            if u not in adj or v not in adj:
+            if u not in index or v not in index:
                 raise GraphError(f"unknown endpoint in edge ({u!r}, {v!r})")
             if u == v:
                 continue
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = adj
+            adj[index[u]].add(index[v])
+            adj[index[v]].add(index[u])
+        self._adj = tuple(map(tuple, adj))
 
     @classmethod
-    def _trusted(cls, nodes: tuple[str, ...], index: dict[str, int], adj: dict[str, set[str]]) -> "UndirectedGraph":
-        """The graph of a symmetric adjacency map over ``nodes``, taken as
-        it is; ``index`` maps each node to its position."""
+    def _trusted(cls, nodes: tuple[str, ...], index: dict[str, int], adj: Sequence[tuple[int, ...]]) -> "UndirectedGraph":
+        """The graph of a symmetric id adjacency over ``nodes``, taken as it
+        is; ``index`` maps each node to its id."""
         ug = cls.__new__(cls)
         ug._nodes, ug._index, ug._adj = nodes, index, adj
         return ug
@@ -149,22 +156,16 @@ class UndirectedGraph:
         return self._index[name]
 
     def neighbors(self, x: str) -> frozenset[str]:
-        if x not in self._adj:
-            raise GraphError(f"unknown node {x!r}")
-        return frozenset(self._adj[x])
+        return frozenset(map(self._nodes.__getitem__, self._adj[self.index(x)]))
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self.neighbors(u)
+        return self.index(v) in self._adj[self.index(u)]
 
     def edge_pairs(self) -> list[tuple[str, str]]:
         """Edges as (u, v) with u before v canonically, sorted."""
-        out = []
-        for u in self._nodes:
-            for v in self._adj[u]:
-                if self._index[u] < self._index[v]:
-                    out.append((u, v))
-        out.sort(key=lambda p: (self._index[p[0]], self._index[p[1]]))
-        return out
+        pairs = sorted((i, j) for i, row in enumerate(self._adj) for j in row if i < j)
+        name = self._nodes
+        return [(name[i], name[j]) for i, j in pairs]
 
     def sorted_nodes(self, names: Iterable[str]) -> tuple[str, ...]:
         names = list(names)
@@ -176,34 +177,46 @@ class UndirectedGraph:
         return len(self._nodes)
 
 
-def moral_adjacency(g: ChainGraph, within: Collection[str]) -> dict[str, set[str]]:
-    """The moral graph of the nodes ``within`` (a union of whole chain
-    components holding their parents, such as an anterior set, or the whole
-    graph) as an adjacency map, read off ``g`` and its cached component
-    index: a node's moral neighbours are its neighbours and parents, and
-    each child c inside with the parents of c's component when c lies in
-    another component.  The same rule as `implies_ci`'s walk."""
+def _moral_rows(g: ChainGraph, ids: Iterable[int], inside: bytearray | None) -> Iterator[tuple[int, ...]]:
+    """The moral neighbours of each node id of ``ids``, in a union of whole
+    chain components holding their parents (the components marked in
+    ``inside``, or the whole graph when it is None): the node's neighbours
+    and parents, and each child c inside with the parents of c's component
+    when c lies in another component.  The rule `implies_ci` walks."""
     index = g.component_index
     comp_of, comp_parents = index.component_of, index.parents
-    parents, children, neighbors = g._parents, g._children, g._neighbors
-    moral: dict[str, set[str]] = {}
-    for x in within:
-        adj = moral[x] = neighbors[x] | parents[x]
+    pa, ch, nb = g._pa, g._ch, g._nb
+    for x in ids:
+        kids = ch[x] if inside is None else [c for c in ch[x] if inside[comp_of[c]]]
+        if not kids:  # one edge at most joins two nodes: no repeats
+            yield nb[x] + pa[x]
+            continue
+        row = {*nb[x], *pa[x], *kids}
         own = comp_of[x]
-        for c in children[x]:
-            if c in within:
-                adj.add(c)
-                if comp_of[c] != own:
-                    adj |= comp_parents[comp_of[c]]
-        adj.discard(x)
-    return moral
+        for c in kids:
+            k = comp_of[c]
+            if k != own:
+                row.update(comp_parents[k])
+        row.discard(x)
+        yield tuple(row)
+
+
+def moral_adjacency(g: ChainGraph, inside: bytearray) -> dict[int, tuple[int, ...]]:
+    """The moral graph of the chain components marked in ``inside`` (a
+    union of whole components holding their parents, such as the anterior
+    set that `ComponentIndex.anterior` marks), as a map from each node id
+    in them to its moral neighbours' ids, read off ``g`` and its cached
+    component index."""
+    comps = g.component_index.components
+    ids = [x for k, comp in enumerate(comps) if inside[k] for x in comp]
+    return dict(zip(ids, _moral_rows(g, ids, inside)))
 
 
 def moralize_chain(g: ChainGraph) -> UndirectedGraph:
     """Join every two nodes with children in a common chain component,
-    then drop all arc directions.  Built straight from the graph's sets by
-    `moral_adjacency`; no edge list is made."""
-    return UndirectedGraph._trusted(g.node_names, g._index, moral_adjacency(g, g._attrs))
+    then drop all arc directions.  Built straight from the graph's id
+    tuples, one row per node; no edge list is made."""
+    return UndirectedGraph._trusted(g.node_names, g._index, tuple(_moral_rows(g, g._index.values(), None)))
 
 
 def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list[frozenset[str]]:
@@ -214,13 +227,13 @@ def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list
     nodes are refused before any mask is built.
     """
     check_clique_bound(len(ug), node_bound)
-    nodes, local = ug.node_names, ug._index
     masks = []
-    for i, n in enumerate(nodes):
+    for i, row in enumerate(ug._adj):
         m = 0
-        for y in ug._adj[n]:
-            m |= 1 << local[y]
+        for j in row:
+            m |= 1 << j
         masks.append(m & ~(1 << i))
+    nodes = ug.node_names
     return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks)]
 
 
@@ -287,43 +300,50 @@ def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
     (positivity needed on undirected components); not complete in general.
 
     Equal to separation in ``moralize_chain(g.induced(anterior))``, without
-    building either graph: the walk goes from A, stopping at S, over the
-    moral graph of the anterior set as read off ``g`` itself (its adjacency
-    sets are read, not copied).
+    building either graph: the query goes to ids once, the anterior set's
+    components are marked by their closure under the quotient arcs, and
+    the walk goes from A, stopping at S, over the moral graph of those
+    components as read off ``g``'s id tuples and its component index.
     """
-    anterior = g.ancestors_chain(q.a | q.b | q.s)
+    a, b, s = g._ids(q.a), g._ids(q.b), g._ids(q.s)
     index = g.component_index
+    inside = index.anterior(a + b + s)
     comp_of, comp_parents = index.component_of, index.parents
-    parents, children, neighbors = g._parents, g._children, g._neighbors
-    blocked, targets = q.s, q.b
-    seen = set(q.a)
-    todo = list(q.a)
+    pa, ch, nb = g._pa, g._ch, g._nb
+    state = bytearray(len(comp_of))  # 1: seen or blocked, 2: a target
+    for x in s:
+        state[x] = 1
+    for x in b:
+        state[x] = 2
+    for x in a:
+        state[x] = 1
+    todo = a
     while todo:
         x = todo.pop()
         own = comp_of[x]
-        moral = [neighbors[x], parents[x]]
-        for c in children[x]:
-            if c in anterior:
-                moral.append((c,))
-                if comp_of[c] != own:
-                    moral.append(comp_parents[comp_of[c]])
-        for ys in moral:
-            for y in ys:
-                if y in blocked or y in seen:
-                    continue
-                if y in targets:
-                    return False
-                seen.add(y)
+        ys = [*nb[x], *pa[x]]
+        for c in ch[x]:
+            k = comp_of[c]
+            if inside[k]:
+                ys.append(c)
+                if k != own:
+                    ys += comp_parents[k]
+        for y in ys:
+            seen = state[y]
+            if not seen:
+                state[y] = 1
                 todo.append(y)
+            elif seen == 2:
+                return False
     return True
 
 
-def separated_pairs(members: Sequence[str], moral: Mapping[str, AbstractSet[str]]) -> list[tuple[str, str]]:
-    """The pairs (a, b) of ``members`` (a node set in node order), a before
+def separated_pairs(members: Sequence[int], moral: Mapping[int, Sequence[int]]) -> list[tuple[int, int]]:
+    """The pairs (a, b) of the node ids ``members`` (ascending), a before
     b, for which ``implies_ci(g, a _||_ b | members - {a, b})`` holds, all
-    found in one pass.  ``moral`` is ``moral_adjacency(g, An(members))``:
-    every such query has the anterior set An(members), so node sets with
-    one anterior set can share it.
+    found in one pass.  ``moral`` is ``moral_adjacency`` of the anterior set
+    of ``members``: every such query has that anterior set, so node sets
+    with one anterior set can share it.
 
     A path from a to b that avoids the rest of ``members`` is the edge
     a - b or runs through An(members) - members alone: a and b are
@@ -331,7 +351,7 @@ def separated_pairs(members: Sequence[str], moral: Mapping[str, AbstractSet[str]
     component of the moral graph on An(members) - members.
     """
     rest = moral.keys() - set(members)
-    label: dict[str, str] = {}  # each node of the rest -> a root of its component
+    label: dict[int, int] = {}  # each node of the rest -> a root of its component
     for root in rest:
         if root in label:
             continue

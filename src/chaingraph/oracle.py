@@ -476,28 +476,29 @@ def _query_index(n: int, ia: int, ib: int, nodes: int) -> int:
     return pair << (n - 2) | low | mid << ia | high << (ib - 1)
 
 
-def _node_sets(names: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Every set of two or more nodes, as a bitmask over node positions and
-    its nodes in node order."""
-    for mask in range(1 << len(names)):
+def _node_sets(nodes: Sequence) -> Iterator[tuple[int, tuple]]:
+    """Every set of two or more of ``nodes`` (names or ids, in node order),
+    as a bitmask over node positions and its nodes in node order."""
+    for mask in range(1 << len(nodes)):
         if mask & (mask - 1):
-            yield mask, tuple(v for k, v in enumerate(names) if mask >> k & 1)
+            yield mask, tuple(v for k, v in enumerate(nodes) if mask >> k & 1)
 
 
 def _implied(g: ChainGraph, count: int) -> list[bool]:
     """`implies_ci` of each of the ``count`` queries of `all_singleton_queries`,
     found by one `separated_pairs` pass per node set.  The moral adjacency
     of an anterior set is built once, for the first node set that has it."""
-    names = g.node_names
-    rank = {v: k for k, v in enumerate(names)}
+    n = len(g)
+    anterior = g.component_index.anterior
     implied = [False] * count
-    moral: dict[frozenset[str], dict[str, set[str]]] = {}
-    for mask, nodes in _node_sets(names):
-        anterior = g.ancestors_chain(nodes)
-        if anterior not in moral:
-            moral[anterior] = moral_adjacency(g, anterior)
-        for a, b in separated_pairs(nodes, moral[anterior]):
-            implied[_query_index(len(names), rank[a], rank[b], mask)] = True
+    moral: dict[bytes, dict[int, tuple[int, ...]]] = {}
+    for mask, nodes in _node_sets(range(n)):
+        inside = anterior(nodes)
+        key = bytes(inside)
+        if key not in moral:
+            moral[key] = moral_adjacency(g, inside)
+        for a, b in separated_pairs(nodes, moral[key]):
+            implied[_query_index(n, a, b, mask)] = True
     return implied
 
 

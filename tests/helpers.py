@@ -30,10 +30,10 @@ from chaingraph.oracle import (
 from chaingraph.plates import _index_tuples
 
 
-def _load_benchmark_reference():
+def _load_benchmark_module(name: str):
     # perfbench/ is a directory of scripts, not a package: load by path
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
@@ -42,7 +42,9 @@ def _load_benchmark_reference():
 
 # the benchmark's read-only checks (LWF moralization and separation,
 # d-separation, factorization coverage), written without chaingraph
-reference = _load_benchmark_reference()
+reference = _load_benchmark_module("reference")
+# the benchmark's seeded sparse random chain graphs (plain names and edge triples)
+bench_gen = _load_benchmark_module("gen")
 
 # ---------------------------------------------------------------------------
 # rendered-factorization comparison

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from chaingraph import (
     GraphError,
     NodeAttr,
     directed,
+    moralize_chain,
     undirected,
     validate_chain_graph,
 )
 from helpers import (
+    bench_gen,
     has_semi_directed_cycle,
     is_closed_semi_directed_walk,
     random_chain_graph,
@@ -64,6 +68,13 @@ def test_declaration_order_is_canonical():
         (["a", "b"], [directed("a", "b"), undirected("a", "b")], "more than one edge"),
         (["a", "b"], [directed("a", "b"), directed("b", "a")], "more than one edge"),
         (["a", "b"], [undirected("a", "b"), directed("b", "a")], "more than one edge"),
+        # exact messages, and which check speaks first when two fail
+        (["a", "", "a"], [], "^empty node name$"),
+        ({"a": NodeAttr(), "b": 2}, [], "^node 'b': expected NodeAttr, got int$"),
+        (["a", "b"], [directed("b", "x"), Edge("a", "a", False)], "^edge endpoint 'x' is not a declared node$"),
+        (["a"], [directed("x", "x")], "^edge endpoint 'x' is not a declared node$"),
+        (["a", "b"], [Edge("b", "b", True), directed("a", "b"), directed("a", "b")], "^self-loop on 'b'$"),
+        (["a", "b"], [directed("a", "b"), directed("b", "a"), directed("a", "x")], "^more than one edge between 'b' and 'a'$"),
     ],
 )
 def test_construction_errors(nodes, edges, match):
@@ -81,9 +92,15 @@ def test_adjacency_accessors():
     assert g.neighbors("b") == {"d"}
     assert g.neighbors("a") == frozenset()
     assert g.parents_of_set({"b", "d"}) == {"a", "c"}
+    assert g.has_edge("b", "a") and g.has_edge("d", "b") and not g.has_edge("a", "c")
+    assert g.ancestors_chain(["d"]) == {"a", "b", "c", "d"}
+    assert g.ancestors_chain(["a", "c"]) == {"a", "c"}
     assert "d" in g and "z" not in g
-    with pytest.raises(GraphError):
-        g.parents("z")
+    for method in (g.parents, g.children, g.neighbors):
+        with pytest.raises(GraphError, match="^unknown node 'z'$"):
+            method("z")
+    with pytest.raises(GraphError, match="^unknown node 'z'$"):
+        g.ancestors_chain(["a", "z"])
 
 
 def test_flavor_flags():
@@ -140,11 +157,13 @@ def test_component_index():
     )
     index = g.component_index
     assert index is g.component_index  # computed once
-    assert index.components == (("a", "b"), ("c",), ("d", "e"), ("f",))
-    assert index.component_of == {"a": 0, "b": 0, "c": 1, "d": 2, "e": 2, "f": 3}
-    assert index.parents == (frozenset(), frozenset("b"), frozenset("ac"), frozenset("e"))
+    # node ids are declaration positions: a=0, b=1, c=2, d=3, e=4, f=5
+    assert index.components == ((0, 1), (2,), (3, 4), (5,))
+    assert index.component_of == [0, 0, 1, 2, 2, 3]
+    assert index.parents == ((), (1,), (0, 2), (4,))
+    names = g.node_names
     for comp, ps in zip(index.components, index.parents):
-        assert ps == g.parents_of_set(comp)
+        assert {names[p] for p in ps} == g.parents_of_set(names[i] for i in comp)
     assert not index.inner_arcs
     inner = ChainGraph(["a", "b", "c"], [undirected("a", "b"), undirected("b", "c"), directed("a", "c")])
     assert inner.component_index.inner_arcs
@@ -274,3 +293,24 @@ def test_validation_skips_the_arc_loop_only_where_it_finds_nothing():
 def test_constructed_chain_graphs_always_validate(seed, n):
     g = random_chain_graph(random.Random(seed), n)
     assert validate_chain_graph(g).ok
+
+
+def test_graph_index_and_moral_graph_footprint():
+    """A 3000-node sparse chain graph from the benchmark's generator, its
+    component index and its moral graph hold node ids in tuples: together
+    they retain well under 800 bytes per node (about 460 measured; per-node
+    sets of names took about 1800)."""
+    case = bench_gen.name_shape(random.Random(1), bench_gen.random_shape(random.Random(7), 3000, dag=False, plant_cycle=False))
+    edges = [Edge(u, v, d) for u, v, d in case.edges]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = ChainGraph(case.names, edges)
+        index = g.component_index
+        moral = moralize_chain(g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index.components) < len(g) == len(moral) == 3000
+    assert retained / len(g) <= 800, retained / len(g)

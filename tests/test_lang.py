@@ -166,19 +166,20 @@ def test_spans_on_non_ascii_source():
 
 
 def test_non_ascii_lexing_is_linear():
-    # re-encoding the prefix for each token's byte offset would make this about 4.5x;
-    # linear code measures 1.8-2.4x on a busy machine, hence the margin
+    # four times the lines: linear code measures 4.2-5.2x, while re-encoding
+    # the prefix for each token's byte offset measures 15-21x, so a bound of
+    # 8x leaves room for a busy machine on both sides
     def source(lines):
         return "model m {\n" + "".join(f"  node n{i};  # caf\u00e9 \u20ac {i}\n" for i in range(lines)) + "}\n"
 
-    small, large = source(1000), source(2000)
+    small, large = source(1000), source(4000)
     best = {small: float("inf"), large: float("inf")}
     for _ in range(7):
         for src in best:
             t = time.perf_counter()
             assert parse(src).ok
             best[src] = min(best[src], time.perf_counter() - t)
-    assert best[large] <= 3.0 * best[small]
+    assert best[large] <= 8.0 * best[small]
 
 
 def test_parse_never_raises_on_garbage():

@@ -7,21 +7,25 @@ from chaingraph import (
     ChainGraph,
     CiQuery,
     CliqueBoundError,
+    Edge,
     GraphError,
     NodeAttr,
     QueryError,
     UndirectedGraph,
     directed,
+    factorize_chain,
     implies_ci,
     max_cliques,
     moralize_chain,
     parse_ci_query,
+    render,
     simplify_conditional_directed,
     simplify_conditional_undirected,
     undirected,
 )
 from chaingraph.markov import MAX_CLIQUE_NODES
 from helpers import (
+    bench_gen,
     d_connected,
     edge_triples,
     random_chain_graph,
@@ -121,7 +125,8 @@ def test_moralize_chain_equals_parents_of_set_per_component(seed):
             got = moral.edge_pairs()
             assert {frozenset(p) for p in got} == want
             # the same graph as the edge list of the graph and the parent pairs
-            marriages = [p for ps in g.component_index.parents for p in combinations(ps, 2)]
+            names = g.node_names
+            marriages = [(names[p], names[q]) for ps in g.component_index.parents for p, q in combinations(ps, 2)]
             listed = UndirectedGraph(g.node_names, [(e.u, e.v) for e in g.edges] + marriages)
             assert moral.node_names == listed.node_names
             assert all(moral.neighbors(x) == listed.neighbors(x) for x in g.node_names)
@@ -199,7 +204,7 @@ def test_copies_answer_from_their_own_index():
         keep = [x for x in names if rng.random() < 0.6] or [names[0]]
         sub = g.induced(keep)
         assert sub.component_index is not index
-        assert {frozenset(c) for c in sub.component_index.components} == {
+        assert {frozenset(map(sub.node_names.__getitem__, c)) for c in sub.component_index.components} == {
             frozenset(c) for c in _components_by_union_find(sub)
         }
         cache = {}
@@ -386,3 +391,33 @@ def test_simplify_flavor_guards(graphs):
         simplify_conditional_directed(graphs["fig2"])
     with pytest.raises(GraphError):
         simplify_conditional_undirected(graphs["fig1a"])
+
+
+# -- mid-size graphs against the benchmark's reference ---------------------------
+
+
+def test_mid_size_random_chain_graphs_match_the_reference():
+    """Seeded sparse chain graphs of 100-600 nodes from the benchmark's
+    generator, every fifth a DAG: each CI answer agrees with the reference
+    separation (LWF, or d-separation on DAGs), the moral graph with the
+    reference moralization, and the factorization covers each component
+    with its parents.  Besides the generator's nearby queries, each graph
+    gets queries between random nodes, whose anterior sets span many chain
+    components."""
+    shapes, names = random.Random(1915), random.Random(1916)
+    checked = {"separated": 0, "connected": 0}
+    for k, n in enumerate(bench_gen.log_spread_sizes(shapes, 30, 100, 600)):
+        case = bench_gen.name_shape(names, bench_gen.random_shape(shapes, n, dag=k % 5 == 0, plant_cycle=False))
+        g = ChainGraph(case.names, [Edge(u, v, d) for u, v, d in case.edges])
+        assert {frozenset(p) for p in moralize_chain(g).edge_pairs()} == reference.moral_edges(case.names, case.edges)
+        far = []
+        for _ in range(6):
+            a, b, *s = names.sample(case.names, 2 + names.randrange(4))
+            far.append((a, b, tuple(s)))
+        separated = reference.d_separated if case.dag else reference.lwf_separated
+        for a, b, s in case.queries + far:
+            got = implies_ci(g, CiQuery(frozenset((a,)), frozenset((b,)), frozenset(s)))
+            assert got == separated(case.names, case.edges, a, b, s), (n, a, b, s)
+            checked["separated" if got else "connected"] += 1
+        assert reference.factorization_problem(render(factorize_chain(g)), case.names, case.edges) is None
+    assert min(checked.values()) >= 20, checked
