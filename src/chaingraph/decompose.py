@@ -19,13 +19,15 @@ joins them.  `block_masks` builds that parent-extended adjacency for the
 clique kernel: it takes the node ids of the block and its parents, numbers
 them 0..n-1 in ascending id (node-position) order and gives each the int
 bitmask of its neighbours, read straight off the graph's parent and
-neighbour id tuples in time proportional to the block and its parents.
-The factorizer hands those masks to the clique kernel (`markov.clique_ids`),
-and so do a conditional subgraph's `cliques`, built on first use.  A conditional subgraph's `adjacency` map and its `graph`
-share one walk of the same tuples and build no masks, whose ints are as wide
-as the block.  No graph is built per block unless one is asked for
-(`ConditionalSubgraph.graph`).  `block_order` is the one emission order,
-and the one place that refuses a cyclic quotient.
+neighbour id tuples in time proportional to the block and its parents,
+together with the bitmask of the block's members.  The factorizer asks the
+clique kernel (`markov.clique_ids`) for the maximal cliques that meet the
+members; a conditional subgraph's `cliques` asks for all of them.  A
+conditional subgraph keeps its component's ids and offers three views,
+each built when asked for: `cliques`, `graph` (the parent-extended
+`ChainGraph`, which builds no masks, whose ints are as wide as the block)
+and `uncompleted`, an alias of `graph`.  `block_order` is the one emission
+order, and the one place that refuses a cyclic quotient.
 """
 
 from __future__ import annotations
@@ -90,21 +92,23 @@ def component_subgraphs(g: ChainGraph) -> Partition:
     return Partition.from_blocks(g, blocks)
 
 
-def block_masks(g: ChainGraph, members: Sequence[int], parents: Sequence[int]) -> tuple[list[int], list[int]]:
+def block_masks(g: ChainGraph, members: Sequence[int], parents: Sequence[int]) -> tuple[list[int], list[int], int]:
     """The parent-extended graph of a block with directions dropped, on
     local ids: the node ids of the block's ``members`` and ``parents`` in
-    ascending (node-position) order, and for each the bitmask of its
-    neighbours by local id.  A member is adjacent to its parents and
-    neighbours; a parent to the members it points into and to the other
-    parents it shares an edge with.  Edges are read from the head's side (a
+    ascending (node-position) order, for each the bitmask of its
+    neighbours by local id, and the bitmask of the members.  A member is
+    adjacent to its parents and neighbours; a parent to the members it
+    points into and to the other parents it shares an edge with.  Edges are read from the head's side (a
     node's parents and neighbours), so a hub parent's children outside the
     block are never looked at."""
     nodes = sorted((*members, *parents))
     local = {x: i for i, x in enumerate(nodes)}
     masks = [0] * len(nodes)
     pa, nb = g._pa, g._nb
+    roots = 0
     for x in members:
         i = local[x]
+        roots |= 1 << i
         m = masks[i]
         for y in nb[x]:
             m |= 1 << local[y]
@@ -127,88 +131,61 @@ def block_masks(g: ChainGraph, members: Sequence[int], parents: Sequence[int]) -
             k = local.get(q)
             if k is not None:
                 masks[j] |= 1 << k
-    return nodes, masks
+    return nodes, masks, roots
 
 
 class ConditionalSubgraph:
-    """One chain component of ``source`` extended with its parents.
+    """One chain component of ``source`` extended with its parents, given
+    as the node ids of its ``members`` and ``parents``.
 
     ``flavor`` is ``"undirected"`` for a component of two or more nodes and
-    ``"directed"`` for a single node.  ``parent_nodes`` is the component's
-    cached parent set.  The block's cliques come from its
-    :func:`block_masks`, built on first use; its adjacency map and graph
-    from one walk of the edges among its nodes.
+    ``"directed"`` for a single node.  ``own_nodes`` and ``parent_nodes``
+    name the members and the component's cached parent set.  The block's
+    cliques come from its :func:`block_masks`, its graph from one walk of
+    the edges among its nodes; each is built when asked for.
     """
 
-    def __init__(
-        self, own_nodes: frozenset[str], parent_nodes: frozenset[str], flavor: str, source: ChainGraph
-    ) -> None:
-        self.own_nodes = own_nodes
-        self.parent_nodes = parent_nodes
-        self.flavor = flavor  # "directed" | "undirected"
+    def __init__(self, source: ChainGraph, members: tuple[int, ...], parents: tuple[int, ...]) -> None:
         self.source = source
-
-    def _ids(self) -> tuple[list[int], list[int]]:
-        g = self.source
-        return g._ids(self.own_nodes), g._ids(self.parent_nodes)
-
-    @cached_property
-    def _masks(self) -> tuple[tuple[str, ...], list[int]]:
-        ids, masks = block_masks(self.source, *self._ids())
-        return tuple(map(self.source.node_names.__getitem__, ids)), masks
-
-    def _edges(self) -> tuple[tuple[str, ...], list[tuple[str, str, bool]]]:
-        """The block and its parents in node order, and every edge among
-        them as (u, v, is_arc), read from the head's side as in
-        :func:`block_masks`."""
-        g = self.source
-        own, parents = self._ids()
-        ids = sorted(own + parents)
-        keep = set(ids)
-        name, pa, nb = g.node_names, g._pa, g._nb
-        edges = []
-        for v in ids:
-            edges.extend((name[u], name[v], True) for u in pa[v] if u in keep)
-            edges.extend((name[u], name[v], False) for u in nb[v] if u < v and u in keep)
-        return tuple(name[i] for i in ids), edges
+        self._members, self._parents = members, parents
+        self.own_nodes = source._named(members)
+        self.parent_nodes = source._named(parents)
+        self.flavor = "undirected" if len(members) > 1 else "directed"
 
     @cached_property
     def graph(self) -> ChainGraph:
         """The parent-extended graph: the block, its parents (marked
-        observed) and every edge among them, with arc directions dropped
-        for an undirected block.  Built on first use."""
-        g, parents = self.source, self.parent_nodes
-        nodes, edges = self._edges()
+        observed) and every edge among them, read from the head's side as
+        in :func:`block_masks`, with arc directions dropped for an
+        undirected block.  Built on first use."""
+        g, parents = self.source, set(self._parents)
+        ids = sorted((*self._members, *parents))
+        keep = set(ids)
+        name, attr, pa, nb = g.node_names, g._attr, g._pa, g._nb
         arcs = self.flavor == "directed"
-        attrs = {n: g.attr(n)._replace(observed=True) if n in parents else g.attr(n) for n in nodes}
-        return ChainGraph(attrs, [Edge(u, v, arcs and is_arc) for u, v, is_arc in edges])
+        attrs = {name[i]: attr[i]._replace(observed=True) if i in parents else attr[i] for i in ids}
+        edges = []
+        for v in ids:
+            edges.extend(Edge(name[u], name[v], arcs) for u in pa[v] if u in keep)
+            edges.extend(Edge(name[u], name[v], False) for u in nb[v] if u < v and u in keep)
+        return ChainGraph(attrs, edges)
 
     def uncompleted(self) -> ChainGraph:
         """The parent-extended graph, as :attr:`graph`."""
         return self.graph
 
-    def adjacency(self) -> dict[str, set[str]]:
-        """The parent-extended graph with directions dropped, as an
-        adjacency map over members and parents in node order, read off the
-        graph's parent and neighbour sets (no masks are built)."""
-        nodes, edges = self._edges()
-        adj: dict[str, set[str]] = {n: set() for n in nodes}
-        for u, v, _ in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def cliques(self) -> list[frozenset[str]]:
         """Maximal cliques of the parent-extended graph, canonically ordered."""
-        check_clique_bound(len(self.own_nodes) + len(self.parent_nodes))
-        nodes, masks = self._masks
-        return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks)]
+        check_clique_bound(len(self._members) + len(self._parents))
+        nodes, masks, _ = block_masks(self.source, self._members, self._parents)
+        name = self.source.node_names
+        return [frozenset(name[nodes[i]] for i in c) for c in clique_ids(masks, (1 << len(masks)) - 1)]
 
 
 class MasterGraph:
     """The chain components of ``source`` in emission order (``order``, by
-    position in its component index): their node sets, their conditional
-    subgraphs and the quotient arcs between them, each built on first use."""
+    position in its component index): their node sets and their
+    conditional subgraphs, each built on first use."""
 
     def __init__(self, source: ChainGraph, order: tuple[int, ...]) -> None:
         self.source = source
@@ -222,21 +199,8 @@ class MasterGraph:
     @cached_property
     def subgraphs(self) -> tuple[ConditionalSubgraph, ...]:
         g = self.source
-        parents = g.component_index.parents
-        return tuple(
-            ConditionalSubgraph(own, g._named(parents[k]), "undirected" if len(own) > 1 else "directed", g)
-            for k, own in zip(self.order, self.blocks)
-        )
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """(i, j) for each quotient arc from block i to block j, sorted."""
-        position = [0] * len(self.order)
-        for new, old in enumerate(self.order):
-            position[old] = new
-        index = self.source.component_index
-        comp_of = index.component_of
-        return tuple(sorted({(position[comp_of[p]], position[j]) for j, ps in enumerate(index.parents) for p in ps}))
+        index = g.component_index
+        return tuple(ConditionalSubgraph(g, index.components[k], index.parents[k]) for k in self.order)
 
 
 def block_order(g: ChainGraph) -> tuple[int, ...]:

@@ -21,8 +21,10 @@ through the expression.  `_block_terms` makes one pass over the cached
 component index in that order, with no conditional subgraph per block and
 on node ids throughout, mapping ids to names only as it emits a term: a
 single node emits its conditional or delta directly, and an undirected
-block runs the clique kernel on its `decompose.block_masks`, whose
-ascending local ids already give each clique's members in node order.
+block asks the clique kernel for the maximal cliques of its
+`decompose.block_masks` that meet its members, the only cliques that
+become potentials; their ascending local ids already give each clique's
+members in node order.
 A DAG is the case where every component is a single node, so its product
 is one p(x | parents(x)) per node in that same order, and `plates` places
 these same terms inside nested plate products.  A Markov network is the
@@ -151,42 +153,15 @@ def _metadata(g: ChainGraph) -> dict:
     )
 
 
-def _undirected_terms(
-    g: ChainGraph, comp: tuple[int, ...], parents: tuple[int, ...], start_label: int, group: int
-) -> tuple[list[FactorTerm], int]:
-    """Terms for a chain component of two or more nodes (ids, ``parents``
-    ascending): its normalizer, then one potential per maximal clique of
-    its parent-extended graph that is not inside the parents.  Returns the
-    next free label."""
-    check_clique_bound(len(comp) + len(parents))
-    nodes, masks = block_masks(g, comp, parents)
-    names = g.node_names
-    local = [names[x] for x in nodes]
-    inner = {names[p] for p in parents}
-    # every node of the block has a neighbour in it, so each maximal clique
-    # has two or more ids and itemgetter gives a tuple; ids ascend, so its
-    # members come in node order
-    cliques = [c for ids in clique_ids(masks) if not inner.issuperset(c := itemgetter(*ids)(local))]
-    if not parents and len(cliques) == 1:
-        return [FactorTerm("conditional", cliques[0])], start_label
-
-    label = start_label
-    if parents:
-        terms = [FactorTerm("normalizer", (), tuple([names[p] for p in parents]), f"f_{label}", group)]
-        label += 1
-    else:
-        # no parents to range over: this is the plain partition function
-        terms = [FactorTerm("normalizer", (), (), "Z", group)]
-    terms += [_new(FactorTerm, ("potential", (), c, f"f_{k}", group)) for k, c in enumerate(cliques, label)]
-    return terms, label + len(cliques)
-
-
 def _block_terms(g: ChainGraph) -> list[tuple[tuple[str, ...], list[FactorTerm]]]:
     """Each chain component's names with its terms, in one pass over the
     components in :func:`block_order`.  A single node gives its conditional
-    or delta directly.  Potential labels count up across blocks; the
-    normalizers of parentless blocks are numbered Z_0, Z_1, ... when there
-    are two or more of them, so that term names stay unique."""
+    or delta directly.  A block of two or more nodes gives its normalizer,
+    then one potential per maximal clique of its parent-extended graph that
+    holds a member: the kernel is asked for those cliques alone.  Potential
+    labels count up across blocks; the normalizers of parentless blocks are
+    numbered Z_0, Z_1, ... when there are two or more of them, so that term
+    names stay unique."""
     index = g.component_index
     comps, comp_parents, attr, names = index.components, index.parents, g._attr, g.node_names
     blocks: list[tuple[tuple[str, ...], list[FactorTerm]]] = []
@@ -200,9 +175,25 @@ def _block_terms(g: ChainGraph) -> list[tuple[tuple[str, ...], list[FactorTerm]]
             kind = "delta" if attr[x].deterministic else "conditional"
             blocks.append((head, [_new(FactorTerm, (kind, head, given, "", -1))]))
             continue
-        terms, label = _undirected_terms(g, comp, parents, label, group)
-        if terms[0].label == "Z":
-            zs.append(terms)
+        check_clique_bound(len(comp) + len(parents))
+        nodes, masks, members = block_masks(g, comp, parents)
+        # every member has a neighbour in the block, so each clique has two
+        # or more ids and itemgetter gives a tuple; ids ascend, so its
+        # names come in node order
+        local = [names[x] for x in nodes]
+        cliques = [itemgetter(*ids)(local) for ids in clique_ids(masks, members)]
+        if not parents and len(cliques) == 1:
+            terms = [FactorTerm("conditional", cliques[0])]
+        else:
+            if parents:
+                terms = [FactorTerm("normalizer", (), tuple([names[p] for p in parents]), f"f_{label}", group)]
+                label += 1
+            else:
+                # no parents to range over: this is the plain partition function
+                terms = [FactorTerm("normalizer", (), (), "Z", group)]
+                zs.append(terms)
+            terms += [_new(FactorTerm, ("potential", (), c, f"f_{i}", group)) for i, c in enumerate(cliques, label)]
+            label += len(cliques)
         blocks.append((tuple([names[x] for x in comp]), terms))
     if len(zs) > 1:
         for n, terms in enumerate(zs):

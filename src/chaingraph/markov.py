@@ -19,14 +19,18 @@ and `moral_adjacency` to the marked components of an anterior set, which
 `separated_pairs` reads.  An `UndirectedGraph` keeps names only at its
 public methods: inside, node i holds the tuple of its neighbours' ids.
 
-The module also hosts the one maximal-clique kernel, `clique_ids`:
-Bron-Kerbosch with Tomita pivoting over int bitmasks.  Its callers number
-the nodes 0..n-1 in node-position order and give each node the bitmask of
-its neighbours, so a clique's ascending ids are its members in canonical
+The module also hosts the one maximal-clique kernel, `clique_ids(masks,
+roots)`, whose contract is "the maximal cliques that meet ``roots``":
+Bron-Kerbosch with Tomita pivoting over int bitmasks, under an outer loop
+that branches on each root in ascending id order.  Its callers number the
+nodes 0..n-1 in node-position order and give each node the bitmask of its
+neighbours, so a clique's ascending ids are its members in canonical
 order, and the sorted id tuples are the canonical clique order.
-`max_cliques` builds the masks from an `UndirectedGraph`'s adjacency; a
-block of the master graph passes the masks that `decompose.block_masks`
-builds.  Every caller checks the node bound before any mask is built.
+`max_cliques` builds the masks from an `UndirectedGraph`'s adjacency and
+passes every node as a root; a block of the master graph passes the masks
+and the member bitmask that `decompose.block_masks` builds, so the
+factorizer gets only the cliques that hold a member.  Every caller checks
+the node bound before any mask is built.
 Last come the two conditional-model simplifications: deleting arcs into
 fully-observed nodes, and deleting edges between observed nodes whose
 common neighbors are all observed.
@@ -234,7 +238,7 @@ def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list
             m |= 1 << j
         masks.append(m & ~(1 << i))
     nodes = ug.node_names
-    return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks)]
+    return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks, (1 << len(masks)) - 1)]
 
 
 def check_clique_bound(n: int, node_bound: int = MAX_CLIQUE_NODES) -> None:
@@ -246,51 +250,59 @@ def check_clique_bound(n: int, node_bound: int = MAX_CLIQUE_NODES) -> None:
         )
 
 
-def clique_ids(masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """The maximal cliques of the graph on local ids 0..n-1 whose node i
-    has neighbour bitmask ``masks[i]`` (symmetric, no self bits), each as
-    its ids in ascending order, the cliques sorted.
+def clique_ids(masks: Sequence[int], roots: int) -> list[tuple[int, ...]]:
+    """The maximal cliques that meet ``roots``, in the graph on local ids
+    0..n-1 whose node i has neighbour bitmask ``masks[i]`` (symmetric, no
+    self bits), each as its ids in ascending order, the cliques sorted.
+    ``roots`` is a bitmask of ids; all n bits give every maximal clique.
 
-    Bron-Kerbosch with Tomita pivoting: the candidates and the excluded
-    nodes are bitmasks, and each call branches only on the candidates not
-    adjacent to the pivot, the node of candidates or excluded with the
-    most candidate neighbours.  With ids numbered in node-position order,
-    ascending ids are the canonical member order and the sorted list is
-    the canonical clique order."""
+    The outer loop branches on each root in ascending id order and then
+    moves it to the excluded nodes, so a clique is found once, in the
+    branch of its smallest root (the vertex-ordered outer loop of Eppstein,
+    Loeffler and Strash, 2010).  Inside a branch, Bron-Kerbosch with Tomita
+    pivoting: see `_expand`.  With ids numbered in node-position order,
+    ascending ids are the canonical member order and the sorted list is the
+    canonical clique order."""
     found: list[tuple[int, ...]] = []
-
-    def expand(r: tuple[int, ...], p: int, x: int) -> None:
-        # r: the clique so far; p: its candidates; x: those already tried
-        best, pivot, rest = -1, 0, p | x
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            k = (p & masks[u]).bit_count()
-            if k > best:
-                best, pivot = k, u
-        branch = p & ~masks[pivot]
-        while branch:
-            low = branch & -branch
-            branch ^= low
-            v = low.bit_length() - 1
-            nv = masks[v]
-            pv = p & nv
-            if pv & (pv - 1):
-                expand(r + (v,), pv, x & nv)
-            elif pv:  # one candidate w left: r + v + w is maximal unless x extends it
-                w = pv.bit_length() - 1
-                if not x & nv & masks[w]:
-                    found.append(tuple(sorted(r + (v, w))))
-            elif not x & nv:  # nothing left to add or to exclude: maximal
-                found.append(tuple(sorted(r + (v,))))
-            p ^= low
-            x |= low
-
-    if masks:
-        expand((), (1 << len(masks)) - 1, 0)
+    _expand(masks, found, (), (1 << len(masks)) - 1, 0, roots)
     found.sort()
     return found
+
+
+def _expand(masks: Sequence[int], found: list, r: tuple[int, ...], p: int, x: int, branch: int) -> None:
+    """Add to ``found`` every maximal clique made of the clique ``r``, a
+    node of ``branch`` and other nodes of ``p``.  ``p`` holds the
+    candidates (the untried nodes adjacent to all of ``r``), ``x`` the
+    tried ones, and ``branch`` is part of ``p``.  Each node v of ``branch``
+    is tried in ascending order and then moves from ``p`` to ``x``; below
+    v, only the candidates not adjacent to the pivot are branched on, the
+    pivot being the node of candidates or tried with the most candidate
+    neighbours (Tomita pivoting)."""
+    while branch:
+        low = branch & -branch
+        branch ^= low
+        v = low.bit_length() - 1
+        nv = masks[v]
+        pv = p & nv
+        if pv & (pv - 1):
+            xv = x & nv
+            best, pivot, rest = -1, 0, pv | xv
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = bit.bit_length() - 1
+                k = (pv & masks[u]).bit_count()
+                if k > best:
+                    best, pivot = k, u
+            _expand(masks, found, r + (v,), pv, xv, pv & ~masks[pivot])
+        elif pv:  # one candidate w left: r + v + w is maximal unless x extends it
+            w = pv.bit_length() - 1
+            if not x & nv & masks[w]:
+                found.append(tuple(sorted(r + (v, w))))
+        elif not x & nv:  # nothing left to add or to exclude: maximal
+            found.append(tuple(sorted(r + (v,))))
+        p ^= low
+        x |= low
 
 
 def implies_ci(g: ChainGraph, q: CiQuery) -> bool:

@@ -9,7 +9,7 @@ import importlib
 from pathlib import Path
 
 import chaingraph
-from chaingraph import conditional_subgraphs, oracle
+from chaingraph import conditional_subgraphs, factorize_chain, master_graph, oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -96,3 +96,57 @@ def test_conditional_subgraph_members_the_benchmark_reads_exist(graphs):
     sub = next(s for s in conditional_subgraphs(graphs["fig2"]) if s.flavor == "undirected")
     missing = sorted(a for a in read if not hasattr(sub, a))
     assert not missing, f"benchmark reads what a conditional subgraph lacks: {missing}"
+
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _binds(node, var):
+    """The values ``node`` binds to the name ``var``: the right-hand sides
+    of its assignments for a function, the iterables for a comprehension."""
+    if isinstance(node, ast.FunctionDef):
+        return [
+            a.value
+            for a in ast.walk(node)
+            if isinstance(a, ast.Assign) and any(getattr(t, "id", None) == var for t in a.targets)
+        ]
+    if isinstance(node, _COMPREHENSIONS):
+        return [c.iter for c in node.generators if getattr(c.target, "id", None) == var]
+    return []
+
+
+def _members_read(tree, var, bound_to):
+    """The attributes read off ``var`` in every function or comprehension
+    that binds it to a value whose source ends with one of ``bound_to``,
+    skipping nested comprehensions that bind ``var`` to something else."""
+    read = set()
+    for scope in ast.walk(tree):
+        values = [ast.unparse(v.func if isinstance(v, ast.Call) else v) for v in _binds(scope, var)]
+        if not any(v.endswith(bound_to) for v in values):
+            continue
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if _binds(node, var):
+                continue
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == var:
+                read.add(node.attr)
+            todo.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def test_master_graph_and_factor_members_the_benchmark_reads_exist(graphs):
+    # `mg` is a master graph, `e` a factor expression and `t` one of its
+    # terms; the `e` of an edge-list comprehension is an edge, not checked here
+    tree = _tree()
+    g = graphs["fig2"]
+    e = factorize_chain(g)
+    for var, bound_to, obj, needed in (
+        ("mg", ("master_graph",), master_graph(g), {"blocks"}),
+        ("e", ("factorize_chain", "factorize_plated"), e, {"terms"}),
+        ("t", ("e.terms",), e.terms[0], {"kind", "vars"}),
+    ):
+        read = _members_read(tree, var, bound_to)
+        assert needed <= read, (var, read)
+        missing = sorted(a for a in read if not hasattr(obj, a))
+        assert not missing, f"benchmark reads what {type(obj).__name__} lacks: {missing}"

@@ -18,9 +18,10 @@ from chaingraph import (
     render,
     render_term,
     undirected,
+    validate_chain_graph,
 )
 from chaingraph.factorize import _block_terms
-from chaingraph.markov import MAX_CLIQUE_NODES
+from chaingraph.markov import MAX_CLIQUE_NODES, clique_ids
 from helpers import random_chain_graph, random_dag, random_mixed, same_graph
 
 
@@ -185,8 +186,6 @@ def test_blocks_equal_brute_force_cliques():
             parents = g.parents_of_set(comp)
             assert sub.own_nodes == set(comp) and sub.parent_nodes == parents
             nodes = [x for x in g.node_names if x in sub.own_nodes or x in parents]
-            assert sub.adjacency() == {x: {y for y in nodes if g.has_edge(x, y)} for x in nodes}
-            assert list(sub.adjacency()) == nodes
             assert sub.graph.node_names == tuple(nodes)
             assert {frozenset((e.u, e.v)) for e in sub.graph.edges} == {
                 frozenset(p) for p in combinations(nodes, 2) if g.has_edge(*p)
@@ -206,6 +205,45 @@ def test_blocks_equal_brute_force_cliques():
                 assert [t.given for t in terms[1:]] == want
                 assert all(t.kind == "potential" for t in terms[1:])
     assert blocks >= 100, blocks
+
+
+def _kernel_cliques_per_factorization(monkeypatch, g):
+    """How many cliques the kernel returns while ``g`` is factorized."""
+    from chaingraph import factorize
+
+    returned = []
+
+    def counted(*args):
+        found = clique_ids(*args)
+        returned.append(len(found))
+        return found
+
+    monkeypatch.setattr(factorize, "clique_ids", counted)
+    e = factorize_chain(g)
+    return sum(returned), e
+
+
+def test_factorizer_asks_the_kernel_only_for_cliques_it_uses(monkeypatch):
+    # block {x, y} has parents p -- q, so its parent-extended graph is the
+    # 4-cycle p-q-y-x; its maximal clique {p, q} holds no member and becomes
+    # no potential, so the kernel must not return it
+    g = ChainGraph(
+        ["p", "q", "x", "y"],
+        [undirected("p", "q"), directed("p", "x"), directed("q", "y"), undirected("x", "y")],
+    )
+    count, e = _kernel_cliques_per_factorization(monkeypatch, g)
+    assert render(e) == "p(p,q) f_0(p,q) f_1(p,x) f_2(q,y) f_3(x,y)"
+    assert count == 4
+
+    rng = random.Random(2010)
+    for make in (random_chain_graph, random_mixed):
+        for _ in range(40):
+            g = make(rng, rng.randint(2, 14), p=rng.choice((0.2, 0.4)))
+            if not validate_chain_graph(g).ok:
+                continue
+            count, e = _kernel_cliques_per_factorization(monkeypatch, g)
+            used = [t for t in e.terms if t.kind == "potential" or (t.kind == "conditional" and len(t.head) > 1)]
+            assert count == len(used), render(e)
 
 
 def test_block_over_the_clique_bound_is_refused_before_its_masks(monkeypatch):

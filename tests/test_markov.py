@@ -23,7 +23,7 @@ from chaingraph import (
     simplify_conditional_undirected,
     undirected,
 )
-from chaingraph.markov import MAX_CLIQUE_NODES
+from chaingraph.markov import MAX_CLIQUE_NODES, clique_ids
 from helpers import (
     bench_gen,
     d_connected,
@@ -303,6 +303,36 @@ def test_clique_kernel_equals_brute_force():
         assert len(got) == len(set(got))
         assert set(got) == _brute_force_maximal_cliques(adj)
         assert got == sorted(got, key=lambda c: sorted(map(position, c)))
+
+
+def _brute_force_clique_ids(masks, roots):
+    """The maximal cliques that meet ``roots`` of the graph on ids
+    0..n-1 with neighbour bitmasks ``masks``, as sorted id tuples, sorted:
+    every node set, kept when it is complete, no outside node is adjacent
+    to all of it, and it holds a root."""
+    n, out = len(masks), []
+    for s in range(1, 1 << n):
+        ids = [i for i in range(n) if s >> i & 1]
+        complete = all(s & ~(1 << i) & ~masks[i] == 0 for i in ids)
+        maximal = not any(s & ~masks[v] == 0 for v in range(n) if not s >> v & 1)
+        if complete and maximal and s & roots:
+            out.append(tuple(ids))
+    return sorted(out)
+
+
+def test_clique_kernel_with_roots_equals_brute_force():
+    rng = random.Random(2010)
+    for _ in range(600):
+        n = rng.randint(0, 10)
+        p = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+        masks = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < p:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        full = (1 << n) - 1
+        for roots in (0, full, rng.getrandbits(n) if n else 0):
+            assert clique_ids(masks, roots) == _brute_force_clique_ids(masks, roots)
 
 
 class _Unread:
