@@ -21,6 +21,7 @@ from .factorize import (
     condition_expression,
     eliminate_deterministic,
     factorize_chain,
+    factorize_plated,
     render,
 )
 from .lang import Diagnostic, ModelError, emit_model, parse, resolve
@@ -33,7 +34,7 @@ from .markov import (
     simplify_conditional_directed,
     simplify_conditional_undirected,
 )
-from .plates import PlateError, PlateModel, expand, factorize_plated
+from .plates import PlateError, PlateModel, expand
 
 EXIT_OK = 0
 EXIT_INVALID = 1

@@ -214,16 +214,8 @@ class ChainGraph:
         """True when the graph contains no directed arc."""
         return not any(e.directed for e in self._edges)
 
-    def has_edge(self, u: str, v: str) -> bool:
-        """Adjacency of any kind between u and v."""
-        i, j = self.index(u), self.index(v)
-        return j in self._nb[i] or j in self._ch[i] or j in self._pa[i]
-
     def deterministic_nodes(self) -> tuple[str, ...]:
         return tuple(n for n, a in zip(self._names, self._attr) if a.deterministic)
-
-    def observed_nodes(self) -> tuple[str, ...]:
-        return tuple(n for n, a in zip(self._names, self._attr) if a.observed)
 
     # -- local structure ---------------------------------------------------
 
@@ -239,21 +231,7 @@ class ChainGraph:
         """Nodes joined to x by an undirected edge."""
         return self._named(self._nb[self.index(x)])
 
-    def parents_of_set(self, a: Iterable[str]) -> frozenset[str]:
-        """Union of the members' parents, minus the set itself."""
-        ids = set(self._ids(a))
-        pa = self._pa
-        return self._named({p for i in ids for p in pa[i]} - ids)
-
     # -- closures ------------------------------------------------------------
-
-    def ancestors_chain(self, seed: Iterable[str]) -> frozenset[str]:
-        """Least set containing the seed and closed under parents and neighbors
-        (the anterior set).  It is a union of whole chain components, and it
-        holds the parents of each of them."""
-        index = self.component_index
-        inside = index.anterior(self._ids(seed))
-        return self._named(i for k, comp in enumerate(index.components) if inside[k] for i in comp)
 
     def non_deterministic_children(self, x: str) -> frozenset[str]:
         """Stochastic nodes reachable from x by arcs through deterministic
@@ -318,14 +296,6 @@ class ChainGraph:
             comp_parents.append(tuple(sorted(outside)))
         return ComponentIndex(comps, component_of, tuple(comp_parents), inner_arcs)
 
-    def undirected_components(self) -> list[list[str]]:
-        """Connected components under undirected edges only (arcs ignored).
-
-        Components are discovered in declaration order; singletons included.
-        """
-        names = self._names
-        return [[names[i] for i in c] for c in self.component_index.components]
-
     def weak_components(self) -> list[list[str]]:
         """Connected components treating every edge as undirected."""
         names = self._names
@@ -377,8 +347,8 @@ class ChainGraph:
 
 class ComponentIndex:
     """A graph's chain components (connected components under undirected
-    edges), in discovery order as :meth:`ChainGraph.undirected_components`
-    lists them, each a tuple of node ids.  ``component_of[i]`` is the
+    edges), ordered by their first node id, each a tuple of node ids in
+    breadth-first order from its first.  ``component_of[i]`` is the
     position of node i's component, and is not to be modified;
     ``parents[k]`` holds the ids of the parents of component k's members
     that lie outside it (a single node's own parent tuple, or ascending

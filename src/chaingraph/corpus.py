@@ -28,7 +28,3 @@ def model_source(name: str) -> str:
 
 def load(name: str) -> PlateModel:
     return parse_model(model_source(name), f"{name}.cg")
-
-
-def all_models() -> dict[str, PlateModel]:
-    return {name: load(name) for name in MODEL_NAMES}

@@ -26,10 +26,17 @@ block asks the clique kernel for the maximal cliques of its
 become potentials; their ascending local ids already give each clique's
 members in node order.
 A DAG is the case where every component is a single node, so its product
-is one p(x | parents(x)) per node in that same order, and `plates` places
-these same terms inside nested plate products.  A Markov network is the
-case where no component has parents: one normalizer and its potentials per
-component, or p(a,b) for a component that is a single clique.
+is one p(x | parents(x)) per node in that same order.  A Markov network
+is the case where no component has parents: one normalizer and its
+potentials per component, or p(a,b) for a component that is a single
+clique.
+`factorize_plated` factorizes a plate model: with a binding, the ground
+graph that `plates.expand` builds; without one, the symbolic nested-product
+form, one product per plate.  Its terms are those of `factorize_chain` on
+the template graph, in the same emission order: each term sits in the
+product of its block's innermost plate, with plate-indexed names
+(``x_i_j``), and a plate product takes the place of the first term inside
+it.
 `condition_expression` turns a product into the symbolic ratio for
 p(target | observed), summing hidden variables in the numerator and the
 hidden-plus-target variables in the denominator; terms mentioning no free
@@ -45,6 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 from .core import ChainGraph, Edge, GraphError
 from .decompose import block_masks, block_order
 from .markov import check_clique_bound, clique_ids
+from .plates import Binding, Plate, PlateModel, expand, require_valid
 
 # `_new(FactorTerm, fields)` builds a term from all five fields without the
 # keyword-handling ``__new__``; the factorizer's loops make one per term
@@ -208,6 +216,79 @@ def factorize_chain(g: ChainGraph) -> FactorExpression:
     Observedness is ignored: the product is the full joint."""
     terms = tuple(t for _, block in _block_terms(g) for t in block)
     return FactorExpression(items=terms, **_metadata(g))
+
+
+# -- plated factorization ---------------------------------------------------
+
+_INDEX_LETTERS = "ijklmn"
+
+
+def _plate_letter(depth: int) -> str:
+    return _INDEX_LETTERS[depth] if depth < len(_INDEX_LETTERS) else f"i{depth}"
+
+
+def _suffix(m: PlateModel, v: str) -> str:
+    return v + "".join("_" + _plate_letter(k) for k in range(len(m.membership(v))))
+
+
+def _index_set_label(m: PlateModel, p: Plate) -> str:
+    d = m.depth(p)
+    return f"{p.symbol}({','.join(_plate_letter(k) for k in range(d))})" if d else p.symbol
+
+
+def _symbolic_expression(m: PlateModel) -> FactorExpression:
+    g = m.graph
+    for v in g.node_names:
+        if m.unnested(v):
+            raise FactorError(
+                f"node {v!r} sits in overlapping plates; no nested product form exists — bind the plates instead"
+            )
+    rename = {v: _suffix(m, v) for v in g.node_names}
+
+    # each term goes to its block's innermost plate (undirected edges never
+    # cross a plate boundary, so a block's members share their plates), keyed
+    # by its emission position, which orders the terms as their blocks are
+    placed: dict[str | None, list[tuple[int, Item]]] = {}
+    pos = 0
+    for comp, terms in _block_terms(g):
+        chain = m.membership(comp[0])
+        here = placed.setdefault(chain[-1].name if chain else None, [])
+        for t in terms:
+            head, given = tuple(rename[v] for v in t.head), tuple(rename[v] for v in t.given)
+            here.append((pos, t._replace(head=head, given=given)))
+            pos += 1
+
+    def build(p: Plate | None) -> list[tuple[int, Item]]:
+        """The terms in p and a product for each nested plate that holds
+        any, keyed by the first emission position inside them."""
+        keyed = list(placed.get(p.name if p is not None else None, ()))
+        for c in m.children(p):
+            inner = build(c)
+            if inner:
+                items = tuple(it for _, it in inner)
+                keyed.append((inner[0][0], PlateProduct(_plate_letter(m.depth(c)), _index_set_label(m, c), items)))
+        keyed.sort(key=lambda kv: kv[0])
+        return keyed
+
+    meta = _metadata(g)
+    return FactorExpression(
+        items=tuple(it for _, it in build(None)),
+        free_vars=frozenset(rename[v] for v in meta["free_vars"]),
+        given_vars=frozenset(rename[v] for v in meta["given_vars"]),
+        order=tuple(rename[v] for v in meta["order"]),
+        domains={rename[v]: s for v, s in meta["domains"].items()},
+    )
+
+
+def factorize_plated(m: PlateModel, b: Binding | None = None) -> FactorExpression:
+    """With a binding: the ground graph's factorization.  Without: the
+    symbolic nested-product form, one product per plate."""
+    if b is not None:
+        return factorize_chain(expand(m, b))  # expand checks the plates
+    require_valid(m)
+    if not m.plates:
+        return factorize_chain(m.graph)
+    return _symbolic_expression(m)
 
 
 def condition_expression(e: FactorExpression, target: Iterable[str]) -> FactorExpression:

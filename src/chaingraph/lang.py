@@ -19,12 +19,10 @@ Neither ever raises on arbitrary input text.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .core import ChainGraph, Edge, GraphError, NodeAttr, Violation
+from .core import ChainGraph, Edge, GraphError, NodeAttr, Violation, validate_chain_graph
 from .plates import Plate, PlateError, PlateModel, validate_plates
-from .core import validate_chain_graph
 
 MAX_PLATE_NESTING = 16
 
@@ -541,7 +539,7 @@ def emit_model(m: Union[PlateModel, ChainGraph], name: str | None = None) -> str
 
 
 class ModelError(ValueError):
-    """Raised by the throwing convenience loaders; carries rendered diagnostics."""
+    """Raised by `parse_model`; carries rendered diagnostics."""
 
     def __init__(self, filename: str, diagnostics: list[Diagnostic]) -> None:
         self.filename = filename
@@ -560,8 +558,3 @@ def parse_model(source: str, filename: str = "<model>") -> PlateModel:
     if resolved.model is None:
         raise ModelError(filename, [d for d in resolved.diagnostics if d.severity == "error"])
     return resolved.model
-
-
-def load_model(path: str | Path) -> PlateModel:
-    p = Path(path)
-    return parse_model(p.read_text(encoding="utf-8"), str(p))

@@ -12,6 +12,10 @@ arcs.  The moral neighbours of a node x in it are read off the graph's id
 tuples and its cached component index -- x's neighbours and parents, and
 each child c of x in a marked component together with the parents of c's
 component.  A walk from A that stops at S then either reaches B or not.
+Each component's parent set is queued once per query, the first time the
+walk expands one of its parents (the married parents act as one factor
+vertex; Kschischang, Frey & Loeliger 2001), so the walk takes time linear
+in the graph however many parents a component has.
 For a purely directed graph the same procedure degenerates to classic
 moralization of parents.  `moralize_chain` applies the same rule to every
 node, one tuple of neighbour ids per node with no edge list in between,
@@ -338,7 +342,8 @@ def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
             k = comp_of[c]
             if inside[k]:
                 ys.append(c)
-                if k != own:
+                if k != own and inside[k] == 1:
+                    inside[k] = 2  # its parents are queued: once per query
                     ys += comp_parents[k]
         for y in ys:
             seen = state[y]

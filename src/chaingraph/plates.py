@@ -6,12 +6,11 @@ undirected edges never cross a boundary.  Bindings give each plate's
 cardinality; an inner plate may be bound to a list of counts indexed by
 its enclosing plate (ragged nesting), e.g. ``Banks=2, Prices=[2,3]``.
 
-`expand` produces the ground graph (copies named ``base_i`` / ``base_i_j``);
-`factorize_plated` without a binding yields the symbolic nested-product
-form, with one product per plate, mirroring the template structure.  Its
-terms are those of `factorize_chain` on the template graph, in the same
-emission order: each term sits in the product of its block's plates, and a
-plate product takes the place of the first term inside it.
+`expand` produces the ground graph (copies named ``base_i`` / ``base_i_j``).
+`require_valid` is the one plate-validity check that `expand` and
+`factorize.factorize_plated` (the symbolic nested-product form) both run.
+The module imports only `core`: the model language loads it without the
+factorizer.
 """
 
 from __future__ import annotations
@@ -21,15 +20,6 @@ import re
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .core import ChainGraph, Edge, NodeAttr, StateSpaceError, ValidationReport, Violation
-from .factorize import (
-    FactorError,
-    FactorExpression,
-    Item,
-    PlateProduct,
-    _block_terms,
-    _metadata,
-    factorize_chain,
-)
 
 
 class PlateError(ValueError):
@@ -37,8 +27,6 @@ class PlateError(ValueError):
 
 
 Binding = Mapping[str, Union[int, Sequence[int]]]
-
-_INDEX_LETTERS = "ijklmn"
 
 # one index suffix of an expansion copy's name (indices start at 1)
 _COPY_SUFFIX = re.compile(r"_[1-9][0-9]*\Z")
@@ -216,7 +204,8 @@ def validate_plates(m: PlateModel) -> ValidationReport:
     return ValidationReport(errors, [])
 
 
-def _require_valid(m: PlateModel) -> None:
+def require_valid(m: PlateModel) -> None:
+    """Raise PlateError with every `validate_plates` message, if any."""
     report = validate_plates(m)
     if not report.ok:
         raise PlateError("; ".join(v.message for v in report.errors))
@@ -297,7 +286,7 @@ def _ground_size(m: PlateModel, b: Binding) -> int:
 def expand(m: PlateModel, b: Binding) -> ChainGraph:
     """Ground chain graph: one copy of each node per index tuple, arcs
     replicated so endpoint copies agree on every shared plate."""
-    _require_valid(m)
+    require_valid(m)
     size = _ground_size(m, b)
     if size > MAX_GROUND_SIZE:
         raise StateSpaceError(f"ground graph has {size} nodes and edges, over the limit of {MAX_GROUND_SIZE}")
@@ -327,74 +316,3 @@ def expand(m: PlateModel, b: Binding) -> ChainGraph:
             for w in group.get(tuple(tu[k] for k, _ in shared), ()):
                 edges.append(Edge(name, w, e.directed))
     return ChainGraph(attrs, edges)
-
-
-# -- symbolic (unbound) factorization ---------------------------------------
-
-
-def _plate_letter(depth: int) -> str:
-    return _INDEX_LETTERS[depth] if depth < len(_INDEX_LETTERS) else f"i{depth}"
-
-
-def _suffix(m: PlateModel, v: str) -> str:
-    return v + "".join("_" + _plate_letter(k) for k in range(len(m.membership(v))))
-
-
-def _index_set_label(m: PlateModel, p: Plate) -> str:
-    d = m.depth(p)
-    return f"{p.symbol}({','.join(_plate_letter(k) for k in range(d))})" if d else p.symbol
-
-
-def _symbolic_expression(m: PlateModel) -> FactorExpression:
-    g = m.graph
-    for v in g.node_names:
-        if m.unnested(v):
-            raise FactorError(
-                f"node {v!r} sits in overlapping plates; no nested product form exists — bind the plates instead"
-            )
-    rename = {v: _suffix(m, v) for v in g.node_names}
-
-    # each term goes to its block's innermost plate (undirected edges never
-    # cross a plate boundary, so a block's members share their plates), keyed
-    # by its emission position, which orders the terms as their blocks are
-    placed: dict[str | None, list[tuple[int, Item]]] = {}
-    pos = 0
-    for comp, terms in _block_terms(g):
-        chain = m.membership(comp[0])
-        here = placed.setdefault(chain[-1].name if chain else None, [])
-        for t in terms:
-            head, given = tuple(rename[v] for v in t.head), tuple(rename[v] for v in t.given)
-            here.append((pos, t._replace(head=head, given=given)))
-            pos += 1
-
-    def build(p: Plate | None) -> list[tuple[int, Item]]:
-        """The terms in p and a product for each nested plate that holds
-        any, keyed by the first emission position inside them."""
-        keyed = list(placed.get(p.name if p is not None else None, ()))
-        for c in m.children(p):
-            inner = build(c)
-            if inner:
-                items = tuple(it for _, it in inner)
-                keyed.append((inner[0][0], PlateProduct(_plate_letter(m.depth(c)), _index_set_label(m, c), items)))
-        keyed.sort(key=lambda kv: kv[0])
-        return keyed
-
-    meta = _metadata(g)
-    return FactorExpression(
-        items=tuple(it for _, it in build(None)),
-        free_vars=frozenset(rename[v] for v in meta["free_vars"]),
-        given_vars=frozenset(rename[v] for v in meta["given_vars"]),
-        order=tuple(rename[v] for v in meta["order"]),
-        domains={rename[v]: s for v, s in meta["domains"].items()},
-    )
-
-
-def factorize_plated(m: PlateModel, b: Binding | None = None) -> FactorExpression:
-    """With a binding: the ground graph's factorization.  Without: the
-    symbolic nested-product form, one product per plate."""
-    _require_valid(m)
-    if b is not None:
-        return factorize_chain(expand(m, b))
-    if not m.plates:
-        return factorize_chain(m.graph)
-    return _symbolic_expression(m)

@@ -248,6 +248,19 @@ def edge_triples(g: ChainGraph) -> list[tuple[str, str, bool]]:
     return [(e.u, e.v, e.directed) for e in g.edges]
 
 
+def parents_of_set(g: ChainGraph, members) -> frozenset[str]:
+    """The parents of ``members`` that lie outside them, read off the edge
+    list."""
+    inside = set(members)
+    return frozenset(u for u, v, d in edge_triples(g) if d and v in inside and u not in inside)
+
+
+def joined_pairs(g: ChainGraph) -> set[frozenset[str]]:
+    """The node pairs that an edge of either kind joins, read off the edge
+    list."""
+    return {frozenset((u, v)) for u, v, _ in edge_triples(g)}
+
+
 def edge_signature(g: ChainGraph) -> set[tuple]:
     return {(e.u, e.v, "->") if e.directed else (e.u, e.v, "--") for e in g.edges}
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -294,20 +295,44 @@ def test_non_ascii_numeral_is_a_diagnostic(tmp_path):
 
 
 def test_import_leaves_numpy_unloaded():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(MODELS.parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = (
-        "import sys, chaingraph, chaingraph.cli\n"
+        "import sys, chaingraph\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('chaingraph.'))\n"
+        "print(*loaded())\n"
+        "import chaingraph.lang\n"
+        "print(*loaded())\n"
+        "import chaingraph.cli\n"
         "print('numpy' in sys.modules)\n"
-        "for name in chaingraph.__all__: getattr(chaingraph, name)\n"
+        "for name in (*chaingraph.__all__, 'corpus', 'oracle', 'cli'): getattr(chaingraph, name)\n"
         "print('numpy' in sys.modules)\n"
+        "print(chaingraph.corpus.load, chaingraph.oracle.__name__, chaingraph.cli.__name__)\n"
+        "print(set(chaingraph.__all__) <= set(dir(chaingraph)), len(set(chaingraph.__all__)) == len(chaingraph.__all__))\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    # the package loads no module of its own; the language needs only these
+    assert lines[:2] == ["", "chaingraph.core chaingraph.lang chaingraph.plates"]
     # numpy is loaded only once an oracle name is used
-    assert res.stdout.split() == ["False", "True"]
+    assert lines[2:4] == ["False", "True"]
+    assert lines[4].startswith("<function load at ") and lines[4].endswith(" chaingraph.oracle chaingraph.cli")
+    assert lines[5:] == ["True True"]
+
+
+def test_no_module_imports_a_private_name():
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(MODELS.parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
 
 
 def test_cli_call_leaves_heavy_modules_unloaded():

@@ -22,7 +22,7 @@ from chaingraph import (
 )
 from chaingraph.factorize import _block_terms
 from chaingraph.markov import MAX_CLIQUE_NODES, clique_ids
-from helpers import random_chain_graph, random_dag, random_mixed, same_graph
+from helpers import joined_pairs, parents_of_set, random_chain_graph, random_dag, random_mixed, same_graph
 
 
 # -- whole-corpus golden renders -------------------------------------------------
@@ -156,11 +156,12 @@ def test_dag_declared_in_topological_order_keeps_declaration_order():
 def _brute_force_cliques(g, nodes):
     """The maximal complete sets of the graph induced on ``nodes`` (in node
     order), in canonical order."""
+    pairs = joined_pairs(g)
     complete = [
         c
         for k in range(1, len(nodes) + 1)
         for c in combinations(nodes, k)
-        if all(g.has_edge(u, v) for u, v in combinations(c, 2))
+        if all(frozenset(p) in pairs for p in combinations(c, 2))
     ]
     maximal = [c for c in complete if not any(set(c) < set(d) for d in complete)]
     return sorted(maximal, key=lambda c: [g.index(x) for x in c])
@@ -182,13 +183,14 @@ def test_blocks_equal_brute_force_cliques():
                 continue  # a cyclic quotient has no product
     blocks = 0
     for g, mg in graphs:
+        pairs = joined_pairs(g)
         for sub, (comp, terms) in zip(mg.subgraphs, _block_terms(g), strict=True):
-            parents = g.parents_of_set(comp)
+            parents = parents_of_set(g, comp)
             assert sub.own_nodes == set(comp) and sub.parent_nodes == parents
             nodes = [x for x in g.node_names if x in sub.own_nodes or x in parents]
             assert sub.graph.node_names == tuple(nodes)
             assert {frozenset((e.u, e.v)) for e in sub.graph.edges} == {
-                frozenset(p) for p in combinations(nodes, 2) if g.has_edge(*p)
+                frozenset(p) for p in combinations(nodes, 2) if frozenset(p) in pairs
             }
             cliques = _brute_force_cliques(g, nodes)
             assert sub.cliques() == [frozenset(c) for c in cliques]

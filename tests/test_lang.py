@@ -20,7 +20,6 @@ from chaingraph import (
     directed,
     emit_model,
     expand,
-    load_model,
     parse,
     parse_model,
     resolve,
@@ -320,11 +319,12 @@ def test_parse_model_raises_with_diagnostics():
 def test_load_model(tmp_path):
     p = tmp_path / "tiny.cg"
     p.write_text("model tiny { node a; }", encoding="utf-8")
-    m = load_model(p)
+    m = parse_model(p.read_text(encoding="utf-8"), str(p))
     assert m.graph.node_names == ("a",)
-    with pytest.raises(ModelError):
-        (tmp_path / "broken.cg").write_text("model { }", encoding="utf-8")
-        load_model(tmp_path / "broken.cg")
+    broken = tmp_path / "broken.cg"
+    broken.write_text("model { }", encoding="utf-8")
+    with pytest.raises(ModelError, match="broken.cg"):
+        parse_model(broken.read_text(encoding="utf-8"), str(broken))
 
 
 # -- bundled corpus -----------------------------------------------------------------
@@ -334,10 +334,8 @@ def test_corpus_complete_and_loadable():
     assert corpus.MODEL_NAMES == (
         "fig1a", "fig1b", "fig2", "fig3", "ffnet", "boltzmann", "cad", "coin", "banks",
     )
-    loaded = corpus.all_models()
-    assert set(loaded) == set(corpus.MODEL_NAMES)
-    for name, m in loaded.items():
-        assert m.name == name
+    for name in corpus.MODEL_NAMES:
+        assert corpus.load(name).name == name
 
 
 def test_corpus_rejects_unknown_name():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from helpers import (
     bench_gen,
     d_connected,
     edge_triples,
+    parents_of_set,
     random_chain_graph,
     random_dag,
     random_mixed,
@@ -120,7 +122,7 @@ def test_moralize_chain_equals_parents_of_set_per_component(seed):
             g = make(rng, n)
             want = {frozenset((e.u, e.v)) for e in g.edges}
             for comp in _components_by_union_find(g):
-                want |= {frozenset(p) for p in combinations(g.parents_of_set(comp), 2)}
+                want |= {frozenset(p) for p in combinations(parents_of_set(g, comp), 2)}
             moral = moralize_chain(g)
             got = moral.edge_pairs()
             assert {frozenset(p) for p in got} == want
@@ -239,6 +241,26 @@ def test_implies_ci_agrees_with_d_separation_on_dags():
         s = frozenset(x for x in rest if rng.random() < 0.4)
         q = CiQuery(frozenset([a]), frozenset([b]), s)
         assert implies_ci(g, q) == (not d_connected(g, {a}, {b}, s)), q.text()
+
+
+def test_hub_query_is_linear_in_fan_in():
+    # x_i -> y -> z with four times the parents: queuing y's parent set once
+    # per query measures about 4x, while re-reading it at every parent the
+    # walk expands measures 13-15x, so a bound of 8x leaves room for a busy
+    # machine on both sides
+    def hub(k):
+        names = [f"x{i}" for i in range(k)] + ["y", "z"]
+        return ChainGraph(names, [directed(f"x{i}", "y") for i in range(k)] + [directed("y", "z")])
+
+    q = CiQuery(frozenset({"x0"}), frozenset({"z"}), frozenset({"y"}))
+    best = {hub(2000): float("inf"), hub(8000): float("inf")}
+    for _ in range(5):
+        for g in best:
+            t = time.perf_counter()
+            assert implies_ci(g, q)
+            best[g] = min(best[g], time.perf_counter() - t)
+    small, large = best.values()
+    assert large <= 8.0 * small
 
 
 # -- cliques -------------------------------------------------------------------
