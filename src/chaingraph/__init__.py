@@ -30,11 +30,11 @@ _EXPORTS = {
     "markov": (
         "CiQuery", "CliqueBoundError", "QueryError", "UndirectedGraph", "implies_ci", "max_cliques",
         "moralize_chain", "parse_ci_query",
-        "simplify_conditional_directed", "simplify_conditional_undirected",
     ),
     "factorize": (
         "FactorError", "FactorExpression", "FactorTerm", "PlateProduct", "condition_expression",
         "eliminate_deterministic", "factorize_chain", "factorize_plated", "render", "render_term",
+        "simplify_conditional",
     ),
     "plates": ("Binding", "Plate", "PlateError", "PlateModel", "expand", "validate_plates"),
     "lang": (

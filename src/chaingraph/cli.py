@@ -20,20 +20,12 @@ from .factorize import (
     FactorError,
     condition_expression,
     eliminate_deterministic,
-    factorize_chain,
     factorize_plated,
     render,
+    simplify_conditional,
 )
 from .lang import Diagnostic, ModelError, emit_model, parse, resolve
-from .markov import (
-    CliqueBoundError,
-    QueryError,
-    implies_ci,
-    moralize_chain,
-    parse_ci_query,
-    simplify_conditional_directed,
-    simplify_conditional_undirected,
-)
+from .markov import QueryError, implies_ci, moralize_chain, parse_ci_query
 from .plates import PlateError, PlateModel, expand
 
 EXIT_OK = 0
@@ -68,8 +60,8 @@ def _parse_bindings(pairs: Sequence[str] | None) -> dict[str, int | list[int]] |
 def _load(path: str, err) -> PlateModel:
     try:
         source = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     parsed = parse(source)
     diags: list[Diagnostic] = list(parsed.diagnostics)
     model = None
@@ -172,16 +164,10 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
 
     try:
         lines = _dispatch(ns, err)
-    except _UsageError as exc:
+    except (_UsageError, QueryError, FactorError, PlateError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except (QueryError, FactorError, PlateError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except StateSpaceError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_RESOURCE
-    except CliqueBoundError as exc:
+    except StateSpaceError as exc:  # the clique bound's error among them
         print(f"error: {exc}", file=err)
         return EXIT_RESOURCE
     except ModelError:
@@ -194,7 +180,11 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         return EXIT_INVALID
     text = "\n".join(lines) + ("\n" if lines else "")
     if getattr(ns, "output", None):
-        Path(ns.output).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(ns.output).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"error: cannot write {ns.output}: {exc.strerror or exc}", file=err)
+            return EXIT_USAGE
     else:
         out.write(text)
     return EXIT_OK
@@ -244,13 +234,7 @@ def _dispatch(ns, err) -> list[str] | None:
     if ns.command == "simplify":
         if m.plates:
             raise _UsageError("simplify does not take plated models; expand first")
-        if g.is_directed:
-            g2 = simplify_conditional_directed(g)
-        elif g.is_undirected:
-            g2 = simplify_conditional_undirected(g)
-        else:
-            raise _UsageError("simplify handles purely directed or purely undirected models")
-        return emit_model(g2, name=m.name).splitlines()
+        return emit_model(simplify_conditional(g), name=m.name).splitlines()
 
     if ns.command == "elim-det":
         if m.plates:

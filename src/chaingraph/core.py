@@ -209,11 +209,6 @@ class ChainGraph:
         """True when the graph contains no undirected edge."""
         return all(e.directed for e in self._edges)
 
-    @property
-    def is_undirected(self) -> bool:
-        """True when the graph contains no directed arc."""
-        return not any(e.directed for e in self._edges)
-
     def deterministic_nodes(self) -> tuple[str, ...]:
         return tuple(n for n, a in zip(self._names, self._attr) if a.deterministic)
 
@@ -266,17 +261,12 @@ class ChainGraph:
         nodes = {n: updates.get(n, a) for n, a in zip(self._names, self._attr)}
         return ChainGraph(nodes, self._edges)
 
-    def observe(self, names: Iterable[str]) -> "ChainGraph":
-        """Copy with the given nodes marked observed."""
-        ups = {n: self.attr(n)._replace(observed=True) for n in names}
-        return self.with_attrs(ups)
-
     # -- component helpers ---------------------------------------------------
 
     @cached_property
     def component_index(self) -> "ComponentIndex":
         """The chain components, computed on first use and kept: the graph
-        never changes, and every copy (`induced`, `with_attrs`, `observe`)
+        never changes, and every copy (`induced`, `with_attrs`)
         is a new graph with its own index."""
         pa = self._pa
         comps = self._components(self._nb)

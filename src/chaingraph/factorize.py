@@ -41,6 +41,10 @@ it.
 p(target | observed), summing hidden variables in the numerator and the
 hidden-plus-target variables in the denominator; terms mentioning no free
 variable cancel.
+Two rewrites return a new graph.  `simplify_conditional` deletes the edges
+that observation makes constant in the product of block conditionals, with
+each block's parent-extended graph read off `decompose.block_masks`, as the
+factorizer reads it; `eliminate_deterministic` removes deterministic nodes.
 """
 
 from __future__ import annotations
@@ -321,6 +325,52 @@ def condition_expression(e: FactorExpression, target: Iterable[str]) -> FactorEx
         sum_out=by_order(hidden),
         denom_sum=by_order(hidden | target_set),
     )
+
+
+def simplify_conditional(g: ChainGraph) -> ChainGraph:
+    """Delete the edges that observation makes constant in the product of
+    block conditionals p(x_tau | x_pa(tau)), keeping p(hidden | observed).
+
+    An edge goes when both its ends are observed and every block whose
+    parent-extended graph holds it -- its own block (the head's component
+    for an arc, the shared one for an undirected edge) and each block of
+    two or more nodes that has both ends as parents -- has all its parents
+    observed and only observed common neighbours of the two ends.  Then
+    every term with a hidden variable keeps its clique or its parent set.
+    Eligibility is judged against the original graph, each block's graph
+    read off its :func:`block_masks`, and all deletions happen in one
+    simultaneous pass.  For a DAG this deletes the arcs into each observed
+    node whose parents are all observed; for a Markov network, each edge
+    between observed nodes whose common neighbours are all observed.
+    """
+    index = g.component_index
+    hidden = [not a.observed for a in g._attr]
+    kept: set[tuple[int, int]] = set()  # observed id pairs that some block holds on to
+    for comp, parents in zip(index.components, index.parents):
+        nodes, masks, members = block_masks(g, comp, parents)
+        hid = sum(1 << i for i, x in enumerate(nodes) if hidden[x])
+        blocked = any(hidden[p] for p in parents)
+        for i, x in enumerate(nodes):
+            if hid >> i & 1:
+                continue
+            # the observed neighbours after i; a single node's term holds
+            # none of its parents' edges
+            rest = masks[i] & ~hid & -(2 << i)
+            if len(comp) == 1 and not members >> i & 1:
+                rest &= members
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if blocked or masks[i] & masks[j] & hid:
+                    kept.add((x, nodes[j]))
+    ids = g._index
+
+    def stays(e: Edge) -> bool:
+        u, v = sorted((ids[e.u], ids[e.v]))
+        return hidden[u] or hidden[v] or (u, v) in kept
+
+    return ChainGraph(g.attrs(), [e for e in g.edges if stays(e)])
 
 
 def eliminate_deterministic(g: ChainGraph) -> ChainGraph:

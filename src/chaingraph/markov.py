@@ -34,10 +34,8 @@ order, and the sorted id tuples are the canonical clique order.
 passes every node as a root; a block of the master graph passes the masks
 and the member bitmask that `decompose.block_masks` builds, so the
 factorizer gets only the cliques that hold a member.  Every caller checks
-the node bound before any mask is built.
-Last come the two conditional-model simplifications: deleting arcs into
-fully-observed nodes, and deleting edges between observed nodes whose
-common neighbors are all observed.
+the node bound before any mask is built; `CliqueBoundError` is a
+`StateSpaceError`, so a refused search is a resource guard like the others.
 """
 
 from __future__ import annotations
@@ -45,14 +43,14 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .core import ChainGraph, Edge, GraphError
+from .core import ChainGraph, GraphError, StateSpaceError
 
 
 class QueryError(ValueError):
     """Malformed conditional-independence query."""
 
 
-class CliqueBoundError(RuntimeError):
+class CliqueBoundError(StateSpaceError):
     """Clique enumeration refused: graph exceeds the node bound."""
 
 
@@ -117,12 +115,7 @@ def parse_ci_query(text: str) -> CiQuery:
             raise QueryError(f"malformed node name in query: {text!r}")
         return frozenset(items)
 
-    try:
-        return CiQuery(names(m.group("a")), names(m.group("b")), names(m.group("s")))
-    except QueryError:
-        raise
-    except ValueError as exc:  # pragma: no cover - defensive
-        raise QueryError(str(exc)) from exc
+    return CiQuery(names(m.group("a")), names(m.group("b")), names(m.group("s")))
 
 
 class UndirectedGraph:
@@ -165,9 +158,6 @@ class UndirectedGraph:
 
     def neighbors(self, x: str) -> frozenset[str]:
         return frozenset(map(self._nodes.__getitem__, self._adj[self.index(x)]))
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return self.index(v) in self._adj[self.index(u)]
 
     def edge_pairs(self) -> list[tuple[str, str]]:
         """Edges as (u, v) with u before v canonically, sorted."""
@@ -386,36 +376,3 @@ def separated_pairs(members: Sequence[int], moral: Mapping[int, Sequence[int]]) 
         for b in members[i + 1 :]
         if b not in moral[a] and touched[a].isdisjoint(touched[b])
     ]
-
-
-def simplify_conditional_directed(g: ChainGraph) -> ChainGraph:
-    """Delete arcs into every observed node whose parents are all observed.
-
-    Applies to directed conditional models.  One pass suffices: a deletion
-    removes only arcs into an observed node, so no other node's parents
-    change.  The conditional of hidden given observed is preserved.
-    """
-    if not g.is_directed:
-        raise GraphError("simplify_conditional_directed requires a purely directed graph")
-    observed = {x for x in g.node_names if g.attr(x).observed}
-    cut = {x for x in observed if g.parents(x) <= observed}
-    return ChainGraph(g.attrs(), [e for e in g.edges if e.v not in cut])
-
-
-def simplify_conditional_undirected(g: ChainGraph) -> ChainGraph:
-    """Delete each edge between observed nodes whose common neighbors are
-    all observed.
-
-    Eligibility is judged against the original adjacency, and all deletions
-    happen in one simultaneous pass.
-    """
-    if not g.is_undirected:
-        raise GraphError("simplify_conditional_undirected requires a purely undirected graph")
-    drop: set[Edge] = set()
-    for e in g.edges:
-        if not (g.attr(e.u).observed and g.attr(e.v).observed):
-            continue
-        common = g.neighbors(e.u) & g.neighbors(e.v)
-        if all(g.attr(w).observed for w in common):
-            drop.add(e)
-    return ChainGraph(g.attrs(), [e for e in g.edges if e not in drop])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chaingraph import ChainGraph, Edge, NodeAttr
+from chaingraph import ChainGraph, Edge, NodeAttr, factorize_chain, simplify_conditional
 from chaingraph.oracle import (
     JointTable,
     OracleError,
@@ -26,6 +26,8 @@ from chaingraph.oracle import (
     _require_ground,
     _term_shape,
     assignment_from_rng,
+    build_joint,
+    conditional_deviation,
 )
 from chaingraph.plates import _index_tuples
 
@@ -291,6 +293,43 @@ def indval(m, v: str, b) -> set[tuple[int, ...]]:
 def random_assignment(e, seed: int):
     """Random tables for every term of ``e``, drawn from one seed."""
     return assignment_from_rng(e, np.random.default_rng(seed))
+
+
+def _spread(tt: TermTable, big_vars: tuple) -> np.ndarray:
+    """View a small term table over a superset of axes (for broadcasting)."""
+    pos = {v: i for i, v in enumerate(big_vars)}
+    order = sorted(range(len(tt.vars)), key=lambda i: pos[tt.vars[i]])
+    arr = np.transpose(tt.table, order)
+    shape = [1] * len(big_vars)
+    for i in order:
+        shape[pos[tt.vars[i]]] = tt.table.shape[i]
+    return arr.reshape(shape)
+
+
+def transfer_deviation(g: ChainGraph, seed: int) -> tuple[float, list[str]]:
+    """Simplify ``g``, move every term table of ``factorize_chain(g)``
+    (normalizers and deltas too) into the first term of the simplified
+    graph's product whose variables hold it, and compare p(hidden |
+    observed) of the two joints.  A term that finds no home must hold
+    observed variables alone, as it is constant given the evidence; the
+    names of the terms that break this come back with the deviation."""
+    g2 = simplify_conditional(g)
+    e, e2 = factorize_chain(g), factorize_chain(g2)
+    pa = random_assignment(e, seed)
+    size = {x: g.attr(x).domain_size for x in g.node_names}
+    acc = {r.name(): np.ones(tuple(size[v] for v in r.vars)) for r in e2.terms}
+    homeless = []
+    for t in e.terms:
+        home = next((r for r in e2.terms if set(t.vars) <= set(r.vars)), None)
+        if home is None:
+            if not all(g.attr(x).observed for x in t.vars):
+                homeless.append(t.name())
+            continue
+        acc[home.name()] = acc[home.name()] * _spread(pa[t.name()], home.vars)
+    pa2 = {r.name(): TermTable(r.vars, acc[r.name()]) for r in e2.terms}
+    hidden = tuple(x for x in g.node_names if not g.attr(x).observed)
+    observed = tuple(x for x in g.node_names if g.attr(x).observed)
+    return conditional_deviation(build_joint(e, pa), build_joint(e2, pa2), hidden, observed), homeless
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,8 @@ def test_expand_and_simplify_and_elim():
     assert code == 0 and "theta -> heads_2;" in out
     code, out, _ = invoke("simplify", cg("fig1a"))
     assert code == 0 and "Age -> Occ;" not in out and "Age -> Dis;" in out
+    code, out, _ = invoke("simplify", cg("cad"))  # a mixed model
+    assert code == 0 and "s -> S;" not in out and "s -> c;" in out
     code, out, _ = invoke("elim-det", cg("ffnet"))
     assert code == 0 and "x1 -> o1;" in out and "h1" not in out
 
@@ -215,6 +217,21 @@ def test_missing_file_is_a_usage_error():
     assert "cannot read" in err
 
 
+def test_model_that_is_not_utf8_is_a_usage_error(tmp_path):
+    latin = tmp_path / "latin.cg"
+    latin.write_bytes(b"model m {\n node caf\xe9;\n}\n")
+    code, out, err = invoke("validate", str(latin))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {latin}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_output_into_a_missing_directory_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = invoke("factorize", cg("fig2"), "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_usage_errors_exit_2():
     # malformed query
     code, _, err = invoke("query", cg("fig2"), "--ci", "a b")
@@ -237,9 +254,9 @@ def test_usage_errors_exit_2():
     # expand without --bind
     code, _, err = invoke("expand", cg("coin"))
     assert code == 2
-    # simplify on a mixed graph
-    code, _, err = invoke("simplify", cg("fig2"))
-    assert code == 2
+    # simplify on a plated model
+    code, _, err = invoke("simplify", cg("coin"))
+    assert code == 2 and "expand first" in err
     # unknown subcommand handled by argparse
     code, _, _ = invoke("frobnicate", cg("fig2"))
     assert code == 2

@@ -115,12 +115,11 @@ def test_adjacency_accessors():
 
 def test_flavor_flags():
     assert ChainGraph(["a", "b"], [directed("a", "b")]).is_directed
-    assert ChainGraph(["a", "b"], [undirected("a", "b")]).is_undirected
+    assert not ChainGraph(["a", "b"], [undirected("a", "b")]).is_directed
     mixed = ChainGraph(["a", "b", "c"], [directed("a", "b"), undirected("b", "c")])
-    assert not mixed.is_directed and not mixed.is_undirected
-    # the empty-edge graph counts as both
-    empty = ChainGraph(["a"])
-    assert empty.is_directed and empty.is_undirected
+    assert not mixed.is_directed
+    # the empty-edge graph counts as directed
+    assert ChainGraph(["a"]).is_directed
 
 
 def test_induced_keeps_attrs_and_inner_edges():
@@ -136,13 +135,13 @@ def test_induced_keeps_attrs_and_inner_edges():
 
 def test_observe_and_with_attrs():
     g = ChainGraph(["a", "b"], [directed("a", "b")])
-    g2 = g.observe(["b"])
+    g2 = g.with_attrs({"b": NodeAttr(observed=True)})
     assert g2.attr("b").observed and not g.attr("b").observed
     assert [x for x in g2.node_names if g2.attr(x).observed] == ["b"]
     g3 = g.with_attrs({"a": NodeAttr(deterministic=True, domain_size=4)})
     assert g3.attr("a").domain_size == 4
     with pytest.raises(GraphError):
-        g.observe(["nope"])
+        g.with_attrs({"nope": NodeAttr(observed=True)})
 
 
 def test_component_helpers():

@@ -17,12 +17,22 @@ from chaingraph import (
     master_graph,
     render,
     render_term,
+    simplify_conditional,
     undirected,
     validate_chain_graph,
 )
 from chaingraph.factorize import _block_terms
 from chaingraph.markov import MAX_CLIQUE_NODES, clique_ids
-from helpers import joined_pairs, parents_of_set, random_chain_graph, random_dag, random_mixed, same_graph
+from helpers import (
+    edge_triples,
+    joined_pairs,
+    parents_of_set,
+    random_chain_graph,
+    random_dag,
+    random_mixed,
+    same_graph,
+    transfer_deviation,
+)
 
 
 # -- whole-corpus golden renders -------------------------------------------------
@@ -358,3 +368,42 @@ def test_eliminate_rejects_undirected_det():
     )
     with pytest.raises(GraphError, match="undirected"):
         eliminate_deterministic(g)
+
+
+# -- observation-driven simplification ------------------------------------------
+
+
+def _co_parent_graph() -> ChainGraph:
+    # u -- v is its own parentless block, where it could go, but it is also
+    # a parent pair of the block {w, y}, whose clique {u, v, w} holds the
+    # hidden w
+    return ChainGraph(
+        {"u": NodeAttr(observed=True), "v": NodeAttr(observed=True), "w": NodeAttr(), "y": NodeAttr()},
+        [undirected("u", "v"), directed("u", "w"), directed("v", "w"), undirected("w", "y")],
+    )
+
+
+def test_simplify_keeps_an_observed_edge_that_a_later_block_has_as_parents():
+    g = _co_parent_graph()
+    assert same_graph(simplify_conditional(g), g)
+
+
+def test_simplify_keeps_the_conditional_of_random_chain_graphs():
+    # the referee of the rule: every term with a hidden variable must find
+    # a home in the simplified product, and p(hidden | observed) must agree
+    rng = random.Random(2301)
+    simplified = count = 0
+    while count < 600:
+        g = random_chain_graph(rng, rng.randint(3, 10))
+        obs_p = rng.random()
+        g = g.with_attrs({x: NodeAttr(observed=True) for x in g.node_names if rng.random() < obs_p})
+        observed = {x for x in g.node_names if g.attr(x).observed}
+        if not observed or len(observed) == len(g):
+            continue
+        dev, homeless = transfer_deviation(g, rng.randrange(2**31))
+        assert not homeless and dev <= 1e-12, (edge_triples(g), homeless, dev)
+        simplified += len(simplify_conditional(g).edges) < len(g.edges)
+        count += 1
+    assert simplified >= 100, simplified  # the rule is exercised, not vacuous
+    dev, homeless = transfer_deviation(_co_parent_graph(), 7)
+    assert not homeless and dev <= 1e-12

@@ -9,7 +9,6 @@ from chaingraph import (
     CiQuery,
     CliqueBoundError,
     Edge,
-    GraphError,
     NodeAttr,
     QueryError,
     UndirectedGraph,
@@ -20,8 +19,7 @@ from chaingraph import (
     moralize_chain,
     parse_ci_query,
     render,
-    simplify_conditional_directed,
-    simplify_conditional_undirected,
+    simplify_conditional,
     undirected,
 )
 from chaingraph.markov import MAX_CLIQUE_NODES, clique_ids
@@ -200,7 +198,8 @@ def test_copies_answer_from_their_own_index():
         g = random_chain_graph(rng, n)
         index = g.component_index  # cached on g before any copy is made
         names = g.node_names
-        for h in (g.observe(names[:1]), g.with_attrs({names[-1]: NodeAttr(domain_size=3)})):
+        for update in ({names[0]: NodeAttr(observed=True)}, {names[-1]: NodeAttr(domain_size=3)}):
+            h = g.with_attrs(update)
             assert h.component_index is not index
             assert h.component_index == index
         keep = [x for x in names if rng.random() < 0.6] or [names[0]]
@@ -379,11 +378,11 @@ def test_clique_bound_fires_before_any_mask(bound):
     assert max_cliques(edgeless, node_bound=bound) == [frozenset((x,)) for x in nodes[:bound]]
 
 
-# -- observation-driven simplification ------------------------------------------
+# -- observation-driven simplification: the DAG and Markov-network cases --------
 
 
 def test_simplify_directed_fig1a_gives_fig1b(graphs):
-    simplified = simplify_conditional_directed(graphs["fig1a"])
+    simplified = simplify_conditional(graphs["fig1a"])
     assert same_graph(simplified, graphs["fig1b"])
 
 
@@ -392,7 +391,7 @@ def test_simplify_directed_keeps_hidden_parents():
         {"h": NodeAttr(), "x": NodeAttr(observed=True), "y": NodeAttr(observed=True)},
         [directed("h", "x"), directed("x", "y")],
     )
-    out = simplify_conditional_directed(g)
+    out = simplify_conditional(g)
     # x has the hidden parent h, so nothing may be dropped; y's only parent
     # x is observed, so x -> y goes
     assert {(e.u, e.v) for e in out.edges} == {("h", "x")}
@@ -405,7 +404,7 @@ def test_simplify_directed_cascades():
         {n: NodeAttr(observed=True) for n in "abc"},
         [directed("a", "b"), directed("b", "c")],
     )
-    assert simplify_conditional_directed(g).edges == ()
+    assert simplify_conditional(g).edges == ()
 
 
 def test_simplify_directed_is_one_pass():
@@ -414,10 +413,10 @@ def test_simplify_directed_is_one_pass():
     rng = random.Random(31)
     for _ in range(200):
         g = random_dag(rng, rng.randint(1, 9), obs_p=rng.random())
-        out = simplify_conditional_directed(g)
+        out = simplify_conditional(g)
         hidden = {x for x in g.node_names if not g.attr(x).observed}
         assert out.edges == tuple(e for e in g.edges if e.v in hidden or g.parents(e.v) & hidden)
-        assert simplify_conditional_directed(out).edges == out.edges
+        assert simplify_conditional(out).edges == out.edges
 
 
 def test_simplify_undirected_respects_hidden_common_neighbor():
@@ -425,7 +424,7 @@ def test_simplify_undirected_respects_hidden_common_neighbor():
         {"h": NodeAttr(), "o1": NodeAttr(observed=True), "o2": NodeAttr(observed=True)},
         [undirected("h", "o1"), undirected("h", "o2"), undirected("o1", "o2")],
     )
-    out = simplify_conditional_undirected(g)
+    out = simplify_conditional(g)
     # h is a hidden common neighbor, so o1 -- o2 must stay
     assert same_graph(out, g)
 
@@ -435,14 +434,7 @@ def test_simplify_undirected_drops_edges_simultaneously():
         {n: NodeAttr(observed=True) for n in ("o1", "o2", "o3")},
         [undirected("o1", "o2"), undirected("o2", "o3"), undirected("o1", "o3")],
     )
-    assert simplify_conditional_undirected(g).edges == ()
-
-
-def test_simplify_flavor_guards(graphs):
-    with pytest.raises(GraphError):
-        simplify_conditional_directed(graphs["fig2"])
-    with pytest.raises(GraphError):
-        simplify_conditional_undirected(graphs["fig1a"])
+    assert simplify_conditional(g).edges == ()
 
 
 # -- mid-size graphs against the benchmark's reference ---------------------------
