@@ -24,7 +24,7 @@ _EXPORTS = {
         "Violation", "directed", "undirected", "validate_chain_graph",
     ),
     "decompose": (
-        "ConditionalSubgraph", "MasterGraph", "Partition",
+        "ConditionalSubgraph", "Partition",
         "chain_components", "component_subgraphs", "conditional_subgraphs", "master_graph",
     ),
     "markov": (

@@ -247,14 +247,6 @@ class ChainGraph:
 
     # -- derived graphs ------------------------------------------------------
 
-    def induced(self, subset: Iterable[str]) -> "ChainGraph":
-        """Subgraph on the given nodes, keeping declaration order and attrs."""
-        keep = set(subset)
-        self._ids(keep)
-        nodes = {n: a for n, a in zip(self._names, self._attr) if n in keep}
-        edges = [e for e in self._edges if e.u in keep and e.v in keep]
-        return ChainGraph(nodes, edges)
-
     def with_attrs(self, updates: Mapping[str, NodeAttr]) -> "ChainGraph":
         """Copy of the graph with some node attributes replaced."""
         self._ids(updates)
@@ -266,8 +258,8 @@ class ChainGraph:
     @cached_property
     def component_index(self) -> "ComponentIndex":
         """The chain components, computed on first use and kept: the graph
-        never changes, and every copy (`induced`, `with_attrs`)
-        is a new graph with its own index."""
+        never changes, and a copy (`with_attrs`) is a new graph with
+        its own index."""
         pa = self._pa
         comps = self._components(self._nb)
         component_of = [0] * len(pa)
@@ -285,12 +277,6 @@ class ChainGraph:
             inner_arcs = inner_arcs or len(outside) < len(ps)
             comp_parents.append(tuple(sorted(outside)))
         return ComponentIndex(comps, component_of, tuple(comp_parents), inner_arcs)
-
-    def weak_components(self) -> list[list[str]]:
-        """Connected components treating every edge as undirected."""
-        names = self._names
-        comps = self._components([n + p + c for n, p, c in zip(self._nb, self._pa, self._ch)])
-        return [[names[i] for i in c] for c in comps]
 
     def _components(self, adj: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         """Connected components of the ids under the rows ``adj``, each in
@@ -437,8 +423,9 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     A graph passes iff it has no semi-directed cycle: equivalently, no arc
     joins two nodes of a common undirected component, and the quotient graph
     over undirected components is acyclic.  Each failure is reported with a
-    reconstructed witness cycle.  Deterministic nodes must have at least one
-    parent; a node both deterministic and observed is legal but warned about.
+    reconstructed witness cycle.  A deterministic node is a function of its
+    parents, so it must have at least one parent and no undirected edge; a
+    node both deterministic and observed is legal but warned about.
     """
     errors: list[Violation] = []
     warnings: list[str] = []
@@ -470,16 +457,16 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
         first_edge = quotient[comp_cycle[0]][comp_cycle[1]]
         errors.append(Violation("semi-directed-cycle", msg, nodes=nodes, edge=first_edge))
 
-    for n, a, ps in zip(g._names, g._attr, g._pa):
-        if a.deterministic and not ps:
-            errors.append(
-                Violation(
-                    "deterministic-without-parents",
-                    f"deterministic node {n!r} has no parents",
-                    nodes=(n,),
-                )
-            )
-        if a.deterministic and a.observed:
+    for n, a, ps, ns in zip(g._names, g._attr, g._pa, g._nb):
+        if not a.deterministic:
+            continue
+        if not ps:
+            msg = f"deterministic node {n!r} has no parents"
+            errors.append(Violation("deterministic-without-parents", msg, (n,)))
+        if ns:
+            msg = f"deterministic node {n!r} has undirected edges"
+            errors.append(Violation("deterministic-with-undirected-edges", msg, (n,)))
+        if a.observed:
             warnings.append(f"node {n!r} is both deterministic and observed")
 
     return ValidationReport(errors, warnings)

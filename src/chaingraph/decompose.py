@@ -1,16 +1,16 @@
 """Decomposition of a chain graph into components and a master graph.
 
-Three structures are computed here:
+Every listing here is a view of the graph's cached component index, its
+id tuples turned into a `Partition` of name sets by one helper:
 
 * chain components -- connected components once every arc is deleted;
-* the master graph -- the quotient DAG over chain components, whose
-  topological order fixes the emission order of the factorization.  A
-  chain graph factorizes as the product over its chain components of
-  p(x_comp | x_parents(comp)), so each component is one block;
-* component subgraphs -- the coarsening that merges singleton chain
-  components connected (in either arc direction) through other singletons.
-  It is kept only as the listing of the ``subgraphs`` command; nothing
-  downstream reads it.
+* the master graph -- the chain components in the topological order of
+  their quotient DAG (`block_order`), the emission order of the
+  factorization: a chain graph factorizes as the product over its chain
+  components of p(x_comp | x_parents(comp)), so each is one block;
+* component subgraphs -- the ``subgraphs`` listing: the larger chain
+  components, and the singletons merged through arcs (either direction)
+  into directed blocks, found in one walk over id rows.
 
 Each block of the master graph is packaged as a conditional subgraph: the
 chain component together with its parents, the parents marked observed.
@@ -18,16 +18,16 @@ No completion edges are added: two parents are adjacent only when the graph
 joins them.  `block_masks` builds that parent-extended adjacency for the
 clique kernel: it takes the node ids of the block and its parents, numbers
 them 0..n-1 in ascending id (node-position) order and gives each the int
-bitmask of its neighbours, read straight off the graph's parent and
-neighbour id tuples in time proportional to the block and its parents,
-together with the bitmask of the block's members.  The factorizer asks the
-clique kernel (`markov.clique_ids`) for the maximal cliques that meet the
-members; a conditional subgraph's `cliques` asks for all of them.  A
-conditional subgraph keeps its component's ids and offers three views,
-each built when asked for: `cliques`, `graph` (the parent-extended
-`ChainGraph`, which builds no masks, whose ints are as wide as the block)
-and `uncompleted`, an alias of `graph`.  `block_order` is the one emission
-order, and the one place that refuses a cyclic quotient.
+bitmask of its neighbours (an int as wide as the block, so every caller
+checks the clique bound first), read straight off the graph's parent and
+neighbour id tuples, together with the bitmask of the block's members.
+The factorizer asks the clique kernel (`markov.clique_ids`) for the
+maximal cliques that meet the members; a conditional subgraph's `cliques`
+asks for all of them.  A conditional subgraph keeps its component's ids
+and offers three views, each built when asked for: `cliques`, `graph` (the
+parent-extended `ChainGraph`, which builds no masks) and `uncompleted`, an
+alias of `graph`.  `block_order` is the one emission order, and the one
+place that refuses a cyclic quotient.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ class Partition:
     def __init__(self, blocks: tuple[frozenset[str], ...]) -> None:
         self.blocks = blocks
 
-    @classmethod
-    def from_blocks(cls, g: ChainGraph, blocks: Iterable[Iterable[str]]) -> "Partition":
-        frozen = [frozenset(b) for b in blocks]
-        seen: set[str] = set()
-        for b in frozen:
-            if not b:
-                raise GraphError("empty partition block")
-            if b & seen:
-                raise GraphError("overlapping partition blocks")
-            seen |= b
-        if seen != set(g.node_names):
-            raise GraphError("partition does not cover the node set")
-        frozen.sort(key=lambda b: min(g.index(n) for n in b))
-        return cls(tuple(frozen))
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -69,27 +54,30 @@ class Partition:
         return iter(self.blocks)
 
 
+def _partition(g: ChainGraph, rows: Iterable[Iterable[int]]) -> Partition:
+    """The name sets of the id tuples ``rows``, in their order."""
+    name = g.node_names.__getitem__
+    return Partition(tuple(frozenset(map(name, r)) for r in rows))
+
+
 def chain_components(g: ChainGraph) -> Partition:
     """Connected components after deleting every directed arc.
 
     Read off the graph's cached :attr:`ChainGraph.component_index`, whose
     discovery order is already the canonical block order."""
-    name = g.node_names.__getitem__
-    return Partition(tuple(frozenset(map(name, c)) for c in g.component_index.components))
+    return _partition(g, g.component_index.components)
 
 
 def component_subgraphs(g: ChainGraph) -> Partition:
     """Coarsen chain components by merging arc-connected singletons.
 
-    Singleton chain components that reach each other through directed arcs
-    (direction ignored for connectivity) collapse into one directed block;
-    multi-node chain components pass through unchanged.
+    One walk, by first node id: a node with undirected edges has its
+    neighbours as its row, so its chain component passes unchanged; a
+    singleton's row is its parents and children that are singletons too.
     """
-    comps = chain_components(g)
-    singles = {next(iter(b)) for b in comps if len(b) == 1}
-    merged = g.induced(singles).weak_components()
-    blocks = [b for b in comps if len(b) > 1] + [frozenset(c) for c in merged]
-    return Partition.from_blocks(g, blocks)
+    nb = g._nb
+    rows = [n or [y for y in p + c if not nb[y]] for n, p, c in zip(nb, g._pa, g._ch)]
+    return _partition(g, g._components(rows))
 
 
 def block_masks(g: ChainGraph, members: Sequence[int], parents: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -182,27 +170,6 @@ class ConditionalSubgraph:
         return [frozenset(name[nodes[i]] for i in c) for c in clique_ids(masks, (1 << len(masks)) - 1)]
 
 
-class MasterGraph:
-    """The chain components of ``source`` in emission order (``order``, by
-    position in its component index): their node sets and their
-    conditional subgraphs, each built on first use."""
-
-    def __init__(self, source: ChainGraph, order: tuple[int, ...]) -> None:
-        self.source = source
-        self.order = order
-
-    @cached_property
-    def blocks(self) -> tuple[frozenset[str], ...]:
-        comps, name = self.source.component_index.components, self.source.node_names.__getitem__
-        return tuple(frozenset(map(name, comps[k])) for k in self.order)
-
-    @cached_property
-    def subgraphs(self) -> tuple[ConditionalSubgraph, ...]:
-        g = self.source
-        index = g.component_index
-        return tuple(ConditionalSubgraph(g, index.components[k], index.parents[k]) for k in self.order)
-
-
 def block_order(g: ChainGraph) -> tuple[int, ...]:
     """The positions of the chain components in emission order: the cached
     Kahn order of :attr:`ComponentIndex.order`, which takes the ready
@@ -224,16 +191,14 @@ def block_order(g: ChainGraph) -> tuple[int, ...]:
     return emit
 
 
-def master_graph(g: ChainGraph) -> MasterGraph:
-    """Quotient the graph over its chain components, in the order of
-    :func:`block_order`.
-
-    An arc runs from component U to component V when some member of U is a
-    parent of a member of V.
-    """
-    return MasterGraph(g, block_order(g))
+def master_graph(g: ChainGraph) -> Partition:
+    """The chain components in the order of :func:`block_order`: the
+    blocks of the quotient DAG, where an arc runs from component U to
+    component V when some member of U is a parent of a member of V."""
+    return _partition(g, map(g.component_index.components.__getitem__, block_order(g)))
 
 
 def conditional_subgraphs(g: ChainGraph) -> list[ConditionalSubgraph]:
     """The chain components with parents attached, in emission order."""
-    return list(master_graph(g).subgraphs)
+    index = g.component_index
+    return [ConditionalSubgraph(g, index.components[k], index.parents[k]) for k in block_order(g)]

@@ -43,8 +43,9 @@ hidden-plus-target variables in the denominator; terms mentioning no free
 variable cancel.
 Two rewrites return a new graph.  `simplify_conditional` deletes the edges
 that observation makes constant in the product of block conditionals, with
-each block's parent-extended graph read off `decompose.block_masks`, as the
-factorizer reads it; `eliminate_deterministic` removes deterministic nodes.
+each larger block's parent-extended graph read off `decompose.block_masks`
+under the clique bound, as the factorizer reads it; `eliminate_deterministic`
+removes deterministic nodes.
 """
 
 from __future__ import annotations
@@ -337,27 +338,31 @@ def simplify_conditional(g: ChainGraph) -> ChainGraph:
     two or more nodes that has both ends as parents -- has all its parents
     observed and only observed common neighbours of the two ends.  Then
     every term with a hidden variable keeps its clique or its parent set.
-    Eligibility is judged against the original graph, each block's graph
-    read off its :func:`block_masks`, and all deletions happen in one
-    simultaneous pass.  For a DAG this deletes the arcs into each observed
-    node whose parents are all observed; for a Markov network, each edge
-    between observed nodes whose common neighbours are all observed.
+    Eligibility is judged against the original graph (a single node's
+    block holds only its own arcs, a larger one's graph is read off its
+    :func:`block_masks` under the clique bound), and all deletions happen
+    in one simultaneous pass.  For a DAG this deletes the arcs into each
+    observed node whose parents are all observed; for a Markov network,
+    each edge between observed nodes whose common neighbours are all
+    observed.
     """
     index = g.component_index
     hidden = [not a.observed for a in g._attr]
     kept: set[tuple[int, int]] = set()  # observed id pairs that some block holds on to
     for comp, parents in zip(index.components, index.parents):
-        nodes, masks, members = block_masks(g, comp, parents)
+        if len(comp) == 1:
+            x = comp[0]
+            if not hidden[x] and any(hidden[p] for p in parents):
+                kept.update((p, x) if p < x else (x, p) for p in parents)
+            continue
+        check_clique_bound(len(comp) + len(parents))
+        nodes, masks, _ = block_masks(g, comp, parents)
         hid = sum(1 << i for i, x in enumerate(nodes) if hidden[x])
         blocked = any(hidden[p] for p in parents)
         for i, x in enumerate(nodes):
             if hid >> i & 1:
                 continue
-            # the observed neighbours after i; a single node's term holds
-            # none of its parents' edges
-            rest = masks[i] & ~hid & -(2 << i)
-            if len(comp) == 1 and not members >> i & 1:
-                rest &= members
+            rest = masks[i] & ~hid & -(2 << i)  # the observed neighbours after i
             while rest:
                 low = rest & -rest
                 rest ^= low

@@ -305,11 +305,12 @@ def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
     Sound for all distributions that factorize according to the graph
     (positivity needed on undirected components); not complete in general.
 
-    Equal to separation in ``moralize_chain(g.induced(anterior))``, without
-    building either graph: the query goes to ids once, the anterior set's
-    components are marked by their closure under the quotient arcs, and
-    the walk goes from A, stopping at S, over the moral graph of those
-    components as read off ``g``'s id tuples and its component index.
+    Equal to separation in the moral graph of the subgraph on the anterior
+    set, without building either graph: the query goes to ids once, the
+    anterior set's components are marked by their closure under the
+    quotient arcs, and the walk goes from A, stopping at S, over the moral
+    graph of those components as read off ``g``'s id tuples and its
+    component index.
     """
     a, b, s = g._ids(q.a), g._ids(q.b), g._ids(q.s)
     index = g.component_index

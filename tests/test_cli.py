@@ -280,7 +280,7 @@ def test_resource_errors_exit_3():
     assert "has 11 nodes, over the limit of 10" in err
 
 
-@pytest.mark.parametrize("command", ["factorize", "cliques"])
+@pytest.mark.parametrize("command", ["factorize", "cliques", "simplify"])
 def test_block_over_the_clique_bound_exits_3(tmp_path, command):
     n = MAX_CLIQUE_NODES + 1
     path = tmp_path / "long.cg"
@@ -379,3 +379,12 @@ def test_elim_det_error_exit_1(tmp_path):
     code, _, err = invoke("elim-det", str(bad))
     assert code == 1
     assert "undirected" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "factorize", "simplify"])
+def test_det_node_with_undirected_edges_is_invalid(tmp_path, command):
+    bad = tmp_path / "detundir.cg"
+    bad.write_text("model m { node a; det node d; node c; node e; a -> d; d -- c; c -- e; }", encoding="utf-8")
+    code, out, err = invoke(command, str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"{bad}:1:19: error: deterministic node 'd' has undirected edges\n"

@@ -122,17 +122,6 @@ def test_flavor_flags():
     assert ChainGraph(["a"]).is_directed
 
 
-def test_induced_keeps_attrs_and_inner_edges():
-    g = ChainGraph(
-        {"a": NodeAttr(observed=True), "b": NodeAttr(), "c": NodeAttr(domain_size=3)},
-        [directed("a", "b"), undirected("b", "c")],
-    )
-    sub = g.induced(["b", "c"])
-    assert set(sub.node_names) == {"b", "c"}
-    assert sub.attr("c").domain_size == 3
-    assert {(e.u, e.v, e.directed) for e in sub.edges} == {("b", "c", False)}
-
-
 def test_observe_and_with_attrs():
     g = ChainGraph(["a", "b"], [directed("a", "b")])
     g2 = g.with_attrs({"b": NodeAttr(observed=True)})
@@ -152,8 +141,6 @@ def test_component_helpers():
     names = g.node_names
     comps = {frozenset(names[i] for i in c) for c in g.component_index.components}
     assert comps == {frozenset("ab"), frozenset("c"), frozenset("de")}
-    weak = {frozenset(c) for c in g.weak_components()}
-    assert weak == {frozenset("abc"), frozenset("de")}
     assert g.undirected_path("a", "b") == ["a", "b"]
     with pytest.raises(GraphError):
         g.undirected_path("a", "c")
@@ -235,6 +222,15 @@ def test_deterministic_rules():
     )
     report2 = validate_chain_graph(g2)
     assert report2.ok and report2.warnings
+
+    # a function of its parents has no undirected edge
+    g3 = ChainGraph(
+        {"a": NodeAttr(), "d": NodeAttr(deterministic=True), "c": NodeAttr(), "e": NodeAttr()},
+        [directed("a", "d"), undirected("d", "c"), undirected("c", "e")],
+    )
+    (v,) = validate_chain_graph(g3).errors
+    assert v.kind == "deterministic-with-undirected-edges" and v.nodes == ("d",)
+    assert "undirected" in v.message
 
 
 def test_validator_agrees_with_brute_force_sample():

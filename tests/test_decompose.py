@@ -17,7 +17,15 @@ from chaingraph import (
     validate_chain_graph,
 )
 from chaingraph import decompose
-from helpers import edge_triples, joined_pairs, random_chain_graph, random_mixed, reference
+from helpers import (
+    edge_triples,
+    joined_pairs,
+    random_chain_graph,
+    random_dag,
+    random_mixed,
+    random_undirected,
+    reference,
+)
 
 
 def blocks_as_sets(partition):
@@ -68,16 +76,44 @@ def test_partition_covers_and_is_disjoint(graphs):
             assert seen == set(g.node_names)
 
 
-def test_partition_rejects_overlap_and_strays():
-    g = ChainGraph(["a", "b"])
-    from chaingraph import Partition
+def _reference_block_order(names, edges):
+    """The chain components, each taken when all its parents' components
+    are out, the first declared of the ready ones first; None when some
+    are never ready (a cyclic quotient)."""
+    comps = reference.undirected_components(names, edges)
+    comp_of = {x: k for k, c in enumerate(comps) for x in c}
+    feeds = {k: {comp_of[u] for u, v, d in edges if d and comp_of[v] == k} - {k} for k in range(len(comps))}
+    order: list[int] = []
+    while len(order) < len(comps):
+        ready = [k for k in range(len(comps)) if k not in order and feeds[k] <= set(order)]
+        if not ready:
+            return None
+        order.append(ready[0])
+    return tuple(comps[k] for k in order)
 
-    with pytest.raises(GraphError):
-        Partition.from_blocks(g, [{"a"}, {"a", "b"}])
-    with pytest.raises(GraphError):
-        Partition.from_blocks(g, [{"a"}])
-    with pytest.raises(GraphError):
-        Partition.from_blocks(g, [{"a", "z"}, {"b"}])
+
+def test_listings_equal_union_find_references():
+    # component subgraphs join undirected edges and the arcs between two
+    # nodes without undirected edges (union-find over those pairs); the
+    # master graph lists the chain components in Kahn order; cyclic graphs
+    # from random_mixed included
+    rng = random.Random(2404)
+    makers = (random_chain_graph, random_mixed, random_dag, random_undirected)
+    cyclic = 0
+    for k in range(1200):
+        g = makers[k % 4](rng, rng.randint(1, 14), p=rng.choice((0.1, 0.25, 0.4)))
+        names, edges = g.node_names, edge_triples(g)
+        joined = {x for u, v, d in edges if not d for x in (u, v)}
+        merged = [(u, v, False) for u, v, d in edges if not d or (u not in joined and v not in joined)]
+        assert component_subgraphs(g).blocks == tuple(reference.undirected_components(names, merged))
+        expect = _reference_block_order(names, edges)
+        if expect is None:
+            cyclic += 1
+            with pytest.raises(GraphError, match="semi-directed cycle"):
+                master_graph(g)
+        else:
+            assert master_graph(g).blocks == expect
+    assert cyclic >= 50, cyclic
 
 
 def test_master_graph_is_topological(graphs):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -11,10 +12,10 @@ from chaingraph import (
     GraphError,
     NodeAttr,
     condition_expression,
+    conditional_subgraphs,
     directed,
     eliminate_deterministic,
     factorize_chain,
-    master_graph,
     render,
     render_term,
     simplify_conditional,
@@ -188,13 +189,13 @@ def test_blocks_equal_brute_force_cliques():
         for _ in range(80):
             g = make(rng, rng.randint(2, 12), p=rng.choice((0.2, 0.4, 0.6)))
             try:
-                graphs.append((g, master_graph(g)))
+                graphs.append((g, conditional_subgraphs(g)))
             except GraphError:
                 continue  # a cyclic quotient has no product
     blocks = 0
-    for g, mg in graphs:
+    for g, subs in graphs:
         pairs = joined_pairs(g)
-        for sub, (comp, terms) in zip(mg.subgraphs, _block_terms(g), strict=True):
+        for sub, (comp, terms) in zip(subs, _block_terms(g), strict=True):
             parents = parents_of_set(g, comp)
             assert sub.own_nodes == set(comp) and sub.parent_nodes == parents
             nodes = [x for x in g.node_names if x in sub.own_nodes or x in parents]
@@ -272,9 +273,12 @@ def test_block_over_the_clique_bound_is_refused_before_its_masks(monkeypatch):
     with pytest.raises(CliqueBoundError) as err:
         factorize_chain(g)
     assert str(err.value) == msg
-    (block,) = master_graph(g).subgraphs
+    (block,) = conditional_subgraphs(g)
     with pytest.raises(CliqueBoundError):
         block.cliques()
+    with pytest.raises(CliqueBoundError) as err:
+        simplify_conditional(g)
+    assert str(err.value) == msg
 
 
 # -- conditioning ----------------------------------------------------------------
@@ -407,3 +411,23 @@ def test_simplify_keeps_the_conditional_of_random_chain_graphs():
     assert simplified >= 100, simplified  # the rule is exercised, not vacuous
     dev, homeless = transfer_deviation(_co_parent_graph(), 7)
     assert not homeless and dev <= 1e-12
+
+
+def test_simplify_on_a_wide_hub_needs_no_block_masks():
+    # x_i -> y for 32,000 observed parents: y's block holds only its own
+    # arcs, so judging it takes memory linear in the parents; one bitmask
+    # per parent as wide as the block would take about 130 MB
+    k = 32_000
+    names = [f"x{i}" for i in range(k)] + ["y"]
+    g = ChainGraph({n: NodeAttr(observed=True) for n in names}, [directed(f"x{i}", "y") for i in range(k)])
+    g.component_index  # built before tracing, as part of the graph
+    tracemalloc.start()
+    try:
+        out = simplify_conditional(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.edges == ()
+    assert peak < 40 * 2**20, peak
+    hidden = g.with_attrs({"x0": NodeAttr()})
+    assert simplify_conditional(hidden).edges == g.edges
