@@ -252,6 +252,8 @@ def _dispatch(ns, err) -> list[str] | None:
     if ns.command == "oracle":
         if ns.trials < 1:
             raise _UsageError(f"--trials must be at least 1, got {ns.trials}")
+        if ns.seed < 0:
+            raise _UsageError(f"--seed must be at least 0, got {ns.seed}")
         if not 0.0 <= ns.tol < float("inf"):
             raise _UsageError(f"--tol must be a finite number >= 0, got {ns.tol:g}")
         from .oracle import check_global_markov  # numpy is only loaded here

@@ -11,10 +11,16 @@ graph-level answer be confirmed or refuted numerically:
   up numerically are only warned about, since random tables need not be
   faithful.  The trials are scored together: their joints are stacked on
   a leading axis, and each node set U takes one marginal of the stack.
+  The stack is first summed over each trailing run of axes that some set
+  drops, as numpy sums such a run, and laid out with the trials last; a
+  set's marginal sums one of these over its other dropped axes, along
+  rows of trials, adding every entry in the order of the stack's own sum.
   The sets of one domain shape share a block, and one kernel call per
   pair of the block's axes scores a _||_ b | U - {a, b} for every set in
-  it.  Whether the graph implies each query comes from one pass per node
-  set over the moral graph of its anterior set.
+  it, taking p(S) from the block wherever numpy's order of summation for
+  the query can be read from it.  Whether the graph implies each query
+  comes from one pass per node set over the moral graph of its anterior
+  set.
 * `check_equivalence` instantiates two expressions with shared tables for
   designated terms and compares the conditional (or a marginal) they
   represent.
@@ -40,6 +46,7 @@ runs.  `assignment_from_rng`, `build_joint`, `conditional_deviation` and
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -117,6 +124,12 @@ def _check_tol(tol: float) -> None:
     # a negative or NaN tol fails every comparison against it, an infinite one passes every one
     if not 0.0 <= tol < math.inf:
         raise OracleError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def _check_seed(seed: int) -> None:
+    # SeedSequence takes only integers >= 0; a non-integer fails operator.index
+    if operator.index(seed) < 0:
+        raise OracleError(f"seed must be >= 0, got {seed!r}")
 
 
 def _domains_of(e: FactorExpression) -> dict[str, int]:
@@ -298,19 +311,10 @@ def _pair_deviations(flat: np.ndarray, i: int, j: int, sums: Sequence[np.ndarray
     ``sums[i]``; numpy adds fewer than 8 terms of one axis in index order
     whatever the layout.
 
-    p(S) keeps each query's own order of summation, which follows the
-    memory layout of its (trials, A, B, S) view of its marginal.  When B
-    comes after A and before the last axis, that sum runs over A, then B,
-    along rows of S, and summing ``flat`` over A and B does the same.
-    Otherwise p(S) is summed from one transposed and reshaped view of the
-    marginals laid out as (sets, trials, *dims), which keeps each query's
-    view layout.
+    p(S) comes from `_s_sums`.
     """
-    *dims, n, t = flat.shape
-    if i < j < len(dims) - 1:
-        ps = flat.sum(axis=(i, j), keepdims=True)
-    else:
-        ps = _view_sum(flat, i, j)
+    n, t = flat.shape[-2:]
+    ps = _s_sums(flat, i, j, sums)
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = np.multiply(sums[j] / ps, sums[i] / ps)
         np.subtract(flat / ps, dev, out=dev)
@@ -321,10 +325,40 @@ def _pair_deviations(flat: np.ndarray, i: int, j: int, sums: Sequence[np.ndarray
     return dev.reshape(-1, n * t).max(axis=0).reshape(n, t).max(axis=1, initial=0.0)
 
 
+def _s_sums(flat: np.ndarray, i: int, j: int, sums: Sequence[np.ndarray]) -> np.ndarray:
+    """p(S) of `_pair_deviations`, in each query's own order of summation,
+    which follows the memory layout of its (trials, A, B, S) view of its
+    marginal.  Where that order can be read from ``flat`` (its rows of sets
+    x trials hold more than one entry, and no axis has one state), p(S) is
+    taken from the block:
+
+    * the query adds A-major in index order along rows of S when B is not
+      the last axis, or when some S axis comes before A and another
+      between A and B (the view is copied), or when A and B are the last
+      two axes and A x B < 8 (one pairwise sum of fewer than 8 terms), and
+      summing ``flat`` over A and B does the same;
+    * when A is the first axis, B the last and S between them, the query
+      sums each A row over B first and adds the rows in order, which for
+      B < 8 is ``sums[j]`` summed over A.
+
+    Otherwise it comes from `_view_sum`.
+    """
+    *dims, n, t = flat.shape
+    k = len(dims)
+    readable = n * t > 1 and 1 not in dims
+    if readable and (j < k - 1 or 0 < i < k - 2 or (i == k - 2 and dims[i] * dims[j] < 8)):
+        return flat.sum(axis=(i, j), keepdims=True)
+    if readable and i < k - 2 and dims[j] < 8:
+        return sums[j].sum(axis=i, keepdims=True)
+    return _view_sum(flat, i, j)
+
+
 def _view_sum(flat: np.ndarray, i: int, j: int) -> np.ndarray:
     """p(S) of `_pair_deviations`, summed from the view (sets, trials, A, B,
     S) of the marginals laid out as (sets, trials, *dims), with its axes
-    back in ``flat``'s order."""
+    back in ``flat``'s order.  This is each query's own order of summation
+    on any layout; it costs a copy of the block, so `_pair_deviations`
+    calls it only where that order cannot be read from the block."""
     *dims, n, t = flat.shape
     marginals = np.ascontiguousarray(np.moveaxis(flat, (-2, -1), (0, 1)))
     rest = [x for x in range(len(dims)) if x != i and x != j]
@@ -504,14 +538,19 @@ def _implied(g: ChainGraph, count: int) -> list[bool]:
 
 class _Block(NamedTuple):
     shape: tuple[int, ...]  # the domain shape of its node sets
-    node_sets: list[tuple[str, ...]]
+    marginals: list[tuple[int, tuple[int, ...]]]  # per node set: (m, axes), see `_trailing_sums`
     queries: np.ndarray  # [pair of local axes, node set] -> query index
 
 
 def _blocks(names: Sequence[str], shape: Sequence[int], trials: int) -> list[_Block]:
     """The node sets of the joint over ``names`` (of this ``shape``), sorted
     by domain shape into blocks of at most ``MAX_JOINT_CONFIGS >> 7`` entries
-    over ``trials`` trials, or of one set each where one set is larger."""
+    over ``trials`` trials, or of one set each where one set is larger.
+
+    A node set's marginal is ``pre[m].sum(axis=axes)`` (see
+    `_trailing_sums`): m ends the set's last kept axis of more than one
+    state, so the axes from m on are the trailing run it drops (one-state
+    axes, kept or dropped, pass), and ``axes`` are all the axes it drops."""
     classes: dict[tuple[int, ...], list[tuple[int, tuple[str, ...]]]] = {}
     for mask, nodes in _node_sets(names):
         dshape = tuple(d for k, d in enumerate(shape) if mask >> k & 1)
@@ -526,8 +565,31 @@ def _blocks(names: Sequence[str], shape: Sequence[int], trials: int) -> list[_Bl
                 [_query_index(len(names), rank[nodes[i]], rank[nodes[j]], mask) for mask, nodes in part]
                 for i, j in combinations(range(len(dshape)), 2)
             ]
-            out.append(_Block(dshape, [nodes for _, nodes in part], np.array(queries)))
+            marginals = [
+                (
+                    max((x + 1 for x, d in enumerate(shape) if mask >> x & 1 and d > 1), default=0),
+                    tuple(x for x in range(len(shape)) if not mask >> x & 1),
+                )
+                for mask, _ in part
+            ]
+            out.append(_Block(dshape, marginals, np.array(queries)))
     return out
+
+
+def _trailing_sums(stack: np.ndarray, starts: Iterable[int]) -> dict[int, np.ndarray]:
+    """For each m of ``starts``, the stack (trials, *joint) summed over its
+    axes from m on, laid out with trials last: (*joint[:m], 1, ..., 1,
+    trials).  The run is summed as numpy sums the trailing axes it drops
+    (pairwise, over one contiguous row), so ``pre[m].sum(axis=axes)`` adds
+    each entry of ``stack.sum(axis=axes)`` in the same order, along rows
+    of trials: numpy reduces a C-contiguous array in C order, and only a
+    reduced innermost axis is summed pairwise."""
+    t, *shape = stack.shape
+    pre = {}
+    for m in starts:
+        summed = stack.reshape(t, -1, math.prod(shape[m:])).sum(axis=-1)
+        pre[m] = summed.T.copy().reshape(*shape[:m], *[1] * (len(shape) - m), t)
+    return pre
 
 
 def _chunk_size(*shapes: tuple[int, ...]) -> int:
@@ -561,8 +623,11 @@ def check_global_markov(
     scored per node set U: the sets of one domain shape take their marginals
     of the stack into a block of at most ``MAX_JOINT_CONFIGS >> 7`` entries
     (a larger set gets a block of its own), laid out as (*dims, sets,
-    trials).  For each pair of local axes, `_pair_deviations` scores every
-    set of the block at once, and a query's record follows from its node
+    trials).  Each marginal is summed from the stack's sum over the
+    trailing run of axes the set drops, laid out with trials last
+    (`_trailing_sums`), so it equals ``stack.sum(axis=dropped)`` bit for
+    bit.  For each pair of local axes, `_pair_deviations` scores every set
+    of the block at once, and a query's record follows from its node
     positions.  Whether the graph implies a query is answered per node set
     by `separated_pairs`, which equals `implies_ci` on each query.
     """
@@ -574,6 +639,7 @@ def check_global_markov(
     if trials < 1:
         raise OracleError("trials must be positive")
     _check_tol(tol)
+    _check_seed(seed)
     e = factorize_chain(g)
     # factorize_chain lays the joint out in node order (order == g.node_names),
     # so node positions index both the joint's axes and all_singleton_queries
@@ -582,19 +648,22 @@ def check_global_markov(
     implied = _implied(g, len(queries))
     chunk = _chunk_size(shape)
     blocks = _blocks(order, shape, min(trials, chunk))
+    starts = {m for block in blocks for m, _ in block.marginals}
 
     max_dev = np.zeros(len(queries))
     for rngs in _trial_chunks(seed, trials, chunk):
-        stack = _joint_stack(e, _draw(e, rngs), len(rngs))
+        # neither the stack nor its sums outlive the chunk, so the next
+        # chunk's stack is built without them
+        pre = _trailing_sums(_joint_stack(e, _draw(e, rngs), len(rngs)), starts)
         for block in blocks:
             k = len(block.shape)
-            flat = np.empty(block.shape + (len(block.node_sets), len(rngs)))
-            slots = flat.transpose(k, k + 1, *range(k))  # (sets, trials, *dims)
-            for i, nodes in enumerate(block.node_sets):
-                slots[i] = _marginal(stack, order, nodes)[1]
+            flat = np.empty(block.shape + (len(block.marginals), len(rngs)))
+            for x, (m, axes) in enumerate(block.marginals):
+                np.sum(pre[m], axis=axes, out=flat[..., x, :])
             sums = [flat.sum(axis=x, keepdims=True) for x in range(k)]
             devs = [_pair_deviations(flat, i, j, sums) for i, j in combinations(range(k), 2)]
             max_dev[block.queries] = np.maximum(max_dev[block.queries], devs)
+        del pre
 
     records = tuple(
         QueryRecord(q, imp, dev, (not imp) or dev <= tol, imp or dev > dependence_threshold)
@@ -646,7 +715,10 @@ def check_equivalence(
     tables, then e2's; the shared ones are then copied, and e2's
     normalizers computed from its potentials as copied.
     """
+    if trials < 1:
+        raise OracleError("trials must be positive")
     _check_tol(tol)
+    _check_seed(seed)
     _require_ground(e1)
     _require_ground(e2)
     shared = dict(shared or {})

@@ -165,6 +165,7 @@ def test_oracle_bound_plated_model():
         (("--tol", "-1"), "--tol must be a finite number >= 0, got -1"),
         (("--tol", "nan"), "--tol must be a finite number >= 0, got nan"),
         (("--tol", "inf"), "--tol must be a finite number >= 0, got inf"),
+        (("--seed", "-5"), "--seed must be at least 0, got -5"),
     ],
 )
 def test_oracle_argument_checks_exit_2(flags, message):

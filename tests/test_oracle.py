@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -288,6 +289,24 @@ def test_sweep_and_equivalence_refuse_a_bad_tol(graphs, tol):
         check_equivalence(e, e, trials=1, tol=tol)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sweep_and_equivalence_refuse_no_trials(graphs, trials):
+    # with no trial, every check would pass vacuously
+    with pytest.raises(OracleError, match="trials must be positive"):
+        check_global_markov(graphs["fig3"], trials=trials)
+    e1, e2 = factorize_chain(graphs["fig1a"]), factorize_chain(graphs["fig3"])
+    with pytest.raises(OracleError, match="trials must be positive"):
+        check_equivalence(e1, e2, trials=trials, mode="marginal")
+
+
+def test_sweep_and_equivalence_refuse_a_negative_seed(graphs):
+    with pytest.raises(OracleError, match="seed must be >= 0, got -5"):
+        check_global_markov(graphs["fig3"], trials=1, seed=-5)
+    e = factorize_chain(graphs["fig3"])
+    with pytest.raises(OracleError, match="seed must be >= 0, got -1"):
+        check_equivalence(e, e, trials=1, seed=-1)
+
+
 def test_zero_tol_is_accepted(graphs):
     assert check_global_markov(graphs["fig1a"], trials=1, tol=0.0).tol == 0.0
     e = factorize_chain(graphs["fig3"])
@@ -399,29 +418,102 @@ def test_batched_sweep_matches_per_trial_loop(models, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["fig2", "cad", "coin[N=5]"])
 def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
-    sizes = []
-    marginal = oracle._marginal
+    stacks, sizes = [], []
+    trailing_sums = oracle._trailing_sums
 
-    def watched(table, vars_, keep):
-        sizes.append(table.shape)
-        return marginal(table, vars_, keep)
+    def watched(stack, starts):
+        pre = trailing_sums(stack, starts)
+        stacks.append(stack.shape)
+        sizes.extend(p.size for p in pre.values())
+        assert sum(p.size for p in pre.values()) < 2 * stack.size
+        return pre
 
-    monkeypatch.setattr(oracle, "_marginal", watched)
+    monkeypatch.setattr(oracle, "_trailing_sums", watched)
     blocks = _watch_blocks(monkeypatch)
     # 600 entries hold two 8-node joints: fig2's trials go in chunks of two.
     # 2^14 entries hold every stack whole, and its block budget of 128
     # entries stacks several node sets of one domain shape into a block.
     for limit in (600, 1 << 14):
         monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", limit)
+        stacks.clear()
         sizes.clear()
         blocks.clear()
         _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=5, seed=4)
-        assert max(np.prod(s) for s in sizes) <= limit
+        assert max(sizes + [np.prod(s) for s in stacks]) <= limit
         if name == "fig2" and limit == 600:
-            assert {s[0] for s in sizes if len(s) == 9} == {2, 1}
+            assert {s[0] for s in stacks} == {2, 1}
         budget = limit >> 7
         assert all(n == 1 or n * t * np.prod(dims) <= budget for n, t, dims, _ in blocks)
         assert any(n > 1 for n, _, _, _ in blocks) == (limit > 600)
+
+
+def test_trailing_sums_give_every_marginal_bit_for_bit():
+    """Each node set's marginal, summed from the stack's sum over its
+    trailing run with trials last, is ``stack.sum(axis=dropped)``: 8- and
+    11-state runs are summed pairwise, one-state axes pass."""
+    rng = np.random.default_rng(25)
+    runs = set()
+    for _ in range(60):
+        shape = tuple(int(d) for d in rng.choice((1, 2, 8, 11), size=rng.integers(2, 6)))
+        if np.prod(shape) > 1 << 13:
+            continue
+        t = int(rng.integers(1, 6))
+        stack = rng.uniform(0.1, 1.0, size=(t, *shape))
+        names = [f"v{x}" for x in range(len(shape))]
+        marginals = [mg for block in oracle._blocks(names, shape, t) for mg in block.marginals]
+        assert len(marginals) == 2 ** len(shape) - len(shape) - 1
+        pre = oracle._trailing_sums(stack, {m for m, _ in marginals})
+        for m, axes in marginals:
+            want = np.moveaxis(stack.sum(axis=tuple(1 + x for x in axes)), 0, -1)
+            assert _same_bits(pre[m].sum(axis=axes), want), (shape, t, axes)
+            runs.add(np.prod(shape[m:]))
+    assert max(runs) >= 64  # runs past numpy's 8-term pairwise blocks
+
+
+def test_p_s_from_the_block_equals_the_view_sum(monkeypatch):
+    """Wherever `_s_sums` takes p(S) from the block, it equals `_view_sum`
+    bit for bit, on blocks of one row (one set, one trial) or more, with
+    one-, 2-, 3-, 7-, 8- and 9-state axes."""
+    view_sum = oracle._view_sum
+    called = []
+
+    def watched(flat, i, j):
+        called.append((i, j))
+        return view_sum(flat, i, j)
+
+    monkeypatch.setattr(oracle, "_view_sum", watched)
+    rng = np.random.default_rng(25)
+    taken = 0
+    for _ in range(300):
+        dims = tuple(int(d) for d in rng.choice((1, 2, 3, 7, 8, 9), size=rng.integers(2, 5)))
+        if np.prod(dims) > 2000:
+            continue
+        n, t = (int(x) for x in rng.integers(1, 4, size=2))
+        flat = rng.uniform(0.1, 1.0, size=(*dims, n, t))
+        sums = [flat.sum(axis=x, keepdims=True) for x in range(len(dims))]
+        for i, j in combinations(range(len(dims)), 2):
+            called.clear()
+            ps = oracle._s_sums(flat, i, j, sums)
+            if not called:
+                taken += 1
+                assert _same_bits(ps, view_sum(flat, i, j)), (dims, n, t, i, j)
+    assert taken > 200
+
+
+def test_batched_sweep_matches_per_trial_loop_on_random_graphs():
+    """Random chain, mixed and DAG graphs of 2-5 nodes with 1-7 states each:
+    a one-state node lets numpy merge axes in a query's own p(S) sum, which
+    the block cannot follow."""
+    rng = random.Random(25)
+    makers = (random_chain_graph, random_mixed, random_dag)
+    made = 0
+    while made < 40:
+        g = makers[made % 3](rng, rng.randint(2, 5))
+        if not validate_chain_graph(g).ok:
+            continue
+        g = g.with_attrs({v: NodeAttr(domain_size=rng.randint(1, 7)) for v in g.node_names})
+        _assert_matches_per_trial_loop(g, trials=rng.randint(1, 3), seed=made)
+        made += 1
 
 
 # -- stacked trials against the per-trial loop ---------------------------------------
