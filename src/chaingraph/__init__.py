@@ -43,10 +43,9 @@ _EXPORTS = {
     ),
     "dot": ("to_dot",),
     "oracle": (
-        "EquivalenceReport", "JointTable", "MarkovReport", "OracleError", "PotentialAssignment",
-        "QueryRecord", "TermTable", "all_singleton_queries", "assignment_from_rng", "build_joint",
-        "check_equivalence", "check_global_markov", "ci_deviation", "conditional_deviation",
-        "eliminated_assignment", "marginal_deviation",
+        "EquivalenceReport", "MarkovReport", "OracleError", "PotentialAssignment", "QueryRecord",
+        "TermTable", "all_singleton_queries", "assignment_from_rng", "build_joint",
+        "check_equivalence", "check_global_markov", "ci_deviation",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

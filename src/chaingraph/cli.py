@@ -242,9 +242,9 @@ def _dispatch(ns, err) -> list[str] | None:
         return emit_model(eliminate_deterministic(g), name=m.name).splitlines()
 
     if ns.command == "expand":
-        if bind is None:
+        if bind is None and m.plates:
             raise _UsageError("expand needs --bind for every plate symbol")
-        return emit_model(expand(m, bind), name=m.name).splitlines()
+        return emit_model(expand(m, bind or {}), name=m.name).splitlines()
 
     if ns.command == "dot":
         return to_dot(m).splitlines()

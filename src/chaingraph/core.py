@@ -204,11 +204,6 @@ class ChainGraph:
     def _named(self, ids: Iterable[int]) -> frozenset[str]:
         return frozenset(map(self._names.__getitem__, ids))
 
-    @property
-    def is_directed(self) -> bool:
-        """True when the graph contains no undirected edge."""
-        return all(e.directed for e in self._edges)
-
     def deterministic_nodes(self) -> tuple[str, ...]:
         return tuple(n for n, a in zip(self._names, self._attr) if a.deterministic)
 

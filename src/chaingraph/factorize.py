@@ -416,15 +416,16 @@ _GREEK = {
 
 
 def _latex_var(name: str) -> str:
-    # Trailing single-character segments become subscripts: spread_i_j.
+    # Trailing single-character or all-digit segments become subscripts:
+    # spread_i_j, heads_10.
     parts = name.split("_")
     subs: list[str] = []
-    while len(parts) > 1 and len(parts[-1]) == 1 and parts[-1].isalnum():
+    while len(parts) > 1 and (parts[-1].isdigit() or len(parts[-1]) == 1 and parts[-1].isalnum()):
         subs.insert(0, parts.pop())
     base = "_".join(parts)
     sub = ""
     if subs:
-        sub = f"_{subs[0]}" if len(subs) == 1 else "_{" + ",".join(subs) + "}"
+        sub = f"_{subs[0]}" if len(subs) == len(subs[0]) == 1 else "_{" + ",".join(subs) + "}"
     if base in _GREEK:
         return f"\\{base}{sub}"
     if len(base) == 1:

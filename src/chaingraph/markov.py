@@ -80,16 +80,10 @@ class CiQuery(_CiQuery):
         # ``_replace`` builds through here, so it checks too
         return cls(*fields)
 
-    def text(self, order: Iterable[str] | None = None) -> str:
-        def fmt(ns: frozenset[str]) -> str:
-            if order is not None:
-                idx = {n: i for i, n in enumerate(order)}
-                return ",".join(sorted(ns, key=lambda n: idx.get(n, len(idx))))
-            return ",".join(sorted(ns))
-
-        out = f"{fmt(self.a)} _||_ {fmt(self.b)}"
+    def text(self) -> str:
+        out = f"{','.join(sorted(self.a))} _||_ {','.join(sorted(self.b))}"
         if self.s:
-            out += f" | {fmt(self.s)}"
+            out += f" | {','.join(sorted(self.s))}"
         return out
 
 
@@ -164,12 +158,6 @@ class UndirectedGraph:
         pairs = sorted((i, j) for i, row in enumerate(self._adj) for j in row if i < j)
         name = self._nodes
         return [(name[i], name[j]) for i, j in pairs]
-
-    def sorted_nodes(self, names: Iterable[str]) -> tuple[str, ...]:
-        names = list(names)
-        for n in names:
-            self.index(n)
-        return tuple(sorted(names, key=self._index.__getitem__))
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -23,7 +23,7 @@ graph-level answer be confirmed or refuted numerically:
   set.
 * `check_equivalence` instantiates two expressions with shared tables for
   designated terms and compares the conditional (or a marginal) they
-  represent.
+  represent, scoring every trial of a chunk in one call of one kernel.
 
 Normalizer terms are not random: they are computed as the actual
 normalizing constants of their block's potentials, so the instantiated
@@ -39,8 +39,12 @@ broadcast multiply per term over the stack, then one sum and one division
 per trial.  The sweep and the equivalence check split their trials into
 chunks by one rule (`_chunk_size`), so that no stack holds more than
 ``MAX_JOINT_CONFIGS`` entries, and each chunk spawns its generators when it
-runs.  `assignment_from_rng`, `build_joint`, `conditional_deviation` and
-`marginal_deviation` are the one-trial case of the same code.
+runs.  A joint, like a term's table, is a `TermTable`: its variables and
+an array whose last axes follow them.
+
+`assignment_from_rng`, `build_joint` and `ci_deviation` are the one-trial
+case of the same code.  No check calls them; they remain because the traced
+``oracle_sweep`` benchmark names them.
 """
 
 from __future__ import annotations
@@ -72,29 +76,14 @@ class OracleError(ValueError):
 
 
 class TermTable(NamedTuple):
-    """A numeric table for one term; axes follow ``vars`` (given + head)."""
+    """A numeric table whose last axes follow ``vars``: a term's (given +
+    head) or a joint's (expression order).  Axes before them hold trials."""
 
     vars: tuple[str, ...]
     table: np.ndarray
 
 
 PotentialAssignment = dict[str, TermTable]
-
-
-class JointTable(NamedTuple):
-    vars: tuple[str, ...]
-    table: np.ndarray
-
-    def marginal(self, keep: Iterable[str]) -> "JointTable":
-        return JointTable(*_marginal(self.table, self.vars, keep))
-
-    def aligned(self, order: Sequence[str]) -> np.ndarray:
-        """The table with its variable axes in ``order``; axes before them
-        (trials) stay in front."""
-        if set(order) != set(self.vars) or len(order) != len(self.vars):
-            raise OracleError("variable order does not match table")
-        lead = self.table.ndim - len(self.vars)
-        return np.transpose(self.table, [*range(lead), *(lead + self.vars.index(v) for v in order)])
 
 
 def _marginal(
@@ -281,7 +270,7 @@ def _joint_stack(e: FactorExpression, pa: PotentialAssignment, trials: int) -> n
     return arr
 
 
-def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
+def build_joint(e: FactorExpression, pa: PotentialAssignment) -> TermTable:
     """Explicit normalized joint over every variable the expression mentions."""
     _require_ground(e)
     domains = _domains_of(e)
@@ -296,7 +285,7 @@ def build_joint(e: FactorExpression, pa: PotentialAssignment) -> JointTable:
         if tuple(tt.table.shape) != expected:
             raise OracleError(f"table for {t.name()} has shape {tt.table.shape}, expected {expected}")
     one = {t.name(): TermTable(t.vars, pa[t.name()].table[None]) for t in e.terms}
-    return JointTable(order, _joint_stack(e, one, 1)[0])
+    return TermTable(order, _joint_stack(e, one, 1)[0])
 
 
 def _pair_deviations(flat: np.ndarray, i: int, j: int, sums: Sequence[np.ndarray]) -> np.ndarray:
@@ -368,7 +357,7 @@ def _view_sum(flat: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.moveaxis(ps, (0, 1), (-2, -1))
 
 
-def ci_deviation(j: JointTable, q: CiQuery) -> float:
+def ci_deviation(j: TermTable, q: CiQuery) -> float:
     """max over S-configs with p(S)>0 of max |p(A,B|S) - p(A|S) p(B|S)|."""
     nodes = q.a | q.b | q.s
     missing = nodes - set(j.vars)
@@ -388,47 +377,29 @@ def ci_deviation(j: JointTable, q: CiQuery) -> float:
     return float(_pair_deviations(flat, i, k, sums)[0])
 
 
-def conditional_deviation(
-    j1: JointTable, j2: JointTable, head: Iterable[str], given: Iterable[str]
-) -> float:
-    """max |p1(head|given) - p2(head|given)| over configs both sides support."""
-    return float(_conditional_deviations(_one_trial(j1), _one_trial(j2), tuple(head), tuple(given))[0])
-
-
-def marginal_deviation(j1: JointTable, j2: JointTable, on: Iterable[str]) -> float:
-    return float(_marginal_deviations(_one_trial(j1), _one_trial(j2), tuple(on))[0])
-
-
-def _one_trial(j: JointTable) -> JointTable:
-    return JointTable(j.vars, j.table[None])
-
-
-def _conditional_deviations(
-    j1: JointTable, j2: JointTable, head: tuple[str, ...], given: tuple[str, ...]
+def _equivalence_deviations(
+    j1: TermTable, j2: TermTable, head: tuple[str, ...], given: tuple[str, ...], mode: str
 ) -> np.ndarray:
-    """`conditional_deviation` of each trial of two stacks of joints, laid
-    out as (trials, *joint)."""
+    """Per trial of two stacks of joints, laid out as (trials, *joint), the
+    largest |p1 - p2| of p(head | given) over the configs of ``given`` that
+    both sides support (``mode="conditional"``), or of p(head)
+    (``mode="marginal"``, with ``given`` empty)."""
     order = head + given
 
-    def cond(j: JointTable) -> tuple[np.ndarray, np.ndarray]:
-        arr = j.marginal(order).aligned(order)
-        nh = math.prod(arr.shape[1 : 1 + len(head)])
-        p = arr.reshape(len(arr), nh, -1)
-        pg = p.sum(axis=1, keepdims=True)
+    def aligned(j: TermTable) -> np.ndarray:
+        kept, m = _marginal(j.table, j.vars, order)
+        return np.transpose(m, [0, *(1 + kept.index(v) for v in order)])
+
+    p1, p2 = aligned(j1), aligned(j2)
+    if mode == "conditional":
+        nh = math.prod(p1.shape[1 : 1 + len(head)])
+        p1, p2 = p1.reshape(len(p1), nh, -1), p2.reshape(len(p2), nh, -1)
+        g1, g2 = p1.sum(axis=1, keepdims=True), p2.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = p / pg
-        return c, pg
-
-    c1, g1 = cond(j1)
-    c2, g2 = cond(j2)
-    dev = np.abs(c1 - c2)
-    np.copyto(dev, 0.0, where=~((g1 > 0.0) & (g2 > 0.0)))
-    return dev.reshape(len(dev), -1).max(axis=1, initial=0.0)
-
-
-def _marginal_deviations(j1: JointTable, j2: JointTable, on: tuple[str, ...]) -> np.ndarray:
-    """`marginal_deviation` of each trial of two stacks of joints."""
-    dev = np.abs(j1.marginal(on).aligned(on) - j2.marginal(on).aligned(on))
+            dev = np.abs(p1 / g1 - p2 / g2)
+        np.copyto(dev, 0.0, where=~((g1 > 0.0) & (g2 > 0.0)))
+    else:
+        dev = np.abs(p1 - p2)
     return dev.reshape(len(dev), -1).max(axis=1, initial=0.0)
 
 
@@ -758,59 +729,7 @@ def check_equivalence(
         # e2's normalizers come from its potentials after the copy; a copied
         # normalizer stays as copied
         _compute_normalizers(e2, pa2, n, skip=frozenset(inverse))
-        j1 = JointTable(order1, _joint_stack(e1, pa1, n))
-        j2 = JointTable(order2, _joint_stack(e2, pa2, n))
-        if mode == "conditional":
-            devs += _conditional_deviations(j1, j2, head, given).tolist()
-        else:
-            devs += _marginal_deviations(j1, j2, head).tolist()
+        j1 = TermTable(order1, _joint_stack(e1, pa1, n))
+        j2 = TermTable(order2, _joint_stack(e2, pa2, n))
+        devs += _equivalence_deviations(j1, j2, head, given, mode).tolist()
     return EquivalenceReport(trials, mode, tol, tuple(devs))
-
-
-# -- deterministic-node elimination, numerically ------------------------------
-
-
-def _delta_value(tt: TermTable, given_values: tuple[int, ...]) -> int:
-    row = tt.table[given_values]
-    return int(np.argmax(row))
-
-
-def eliminated_assignment(
-    g: ChainGraph, g2: ChainGraph, pa: PotentialAssignment
-) -> PotentialAssignment:
-    """Tables for factorize_chain(g2), where g2 = eliminate_deterministic(g)
-    and g is purely directed: each surviving node's table composes the
-    original one with the deterministic functions it absorbed.  The result
-    represents exactly the original marginal on the surviving nodes.
-    """
-    if not g.is_directed:
-        raise OracleError("eliminated_assignment requires a purely directed graph")
-    dets = set(g.deterministic_nodes())
-
-    def value_of(x: str, env: dict[str, int]) -> int:
-        if x in env:
-            return env[x]
-        if x not in dets:
-            raise OracleError(f"value of non-deterministic node {x!r} is not determined")
-        parents = g.sorted_nodes(g.parents(x))
-        vals = tuple(value_of(p, env) for p in parents)
-        name = f"delta({x}|{','.join(parents)})"
-        env[x] = _delta_value(pa[name], vals)
-        return env[x]
-
-    out: PotentialAssignment = {}
-    for y in g2.node_names:
-        new_parents = g2.sorted_nodes(g2.parents(y))
-        old_parents = g.sorted_nodes(g.parents(y))
-        old_name = f"p({y}|{','.join(old_parents)})" if old_parents else f"p({y})"
-        old = pa[old_name]
-        dsize = g.attr(y).domain_size
-        shape = tuple(g2.attr(p).domain_size for p in new_parents) + (dsize,)
-        table = np.empty(shape)
-        for idx in np.ndindex(shape[:-1]):
-            env = dict(zip(new_parents, (int(i) for i in idx)))
-            old_vals = tuple(value_of(p, env) for p in old_parents)
-            table[idx] = old.table[old_vals]
-        new_name = f"p({y}|{','.join(new_parents)})" if new_parents else f"p({y})"
-        out[new_name] = TermTable(tuple(new_parents) + (y,), table)
-    return out

@@ -287,6 +287,9 @@ def expand(m: PlateModel, b: Binding) -> ChainGraph:
     """Ground chain graph: one copy of each node per index tuple, arcs
     replicated so endpoint copies agree on every shared plate."""
     require_valid(m)
+    unused = sorted(set(b) - {p.symbol for p in m.plates})
+    if unused:
+        raise PlateError(f"no plate uses the bound symbol(s) {', '.join(map(repr, unused))}")
     size = _ground_size(m, b)
     if size > MAX_GROUND_SIZE:
         raise StateSpaceError(f"ground graph has {size} nodes and edges, over the limit of {MAX_GROUND_SIZE}")

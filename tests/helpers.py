@@ -17,7 +17,6 @@ import numpy as np
 
 from chaingraph import ChainGraph, Edge, NodeAttr, factorize_chain, simplify_conditional
 from chaingraph.oracle import (
-    JointTable,
     OracleError,
     TermTable,
     _check_size,
@@ -27,7 +26,6 @@ from chaingraph.oracle import (
     _term_shape,
     assignment_from_rng,
     build_joint,
-    conditional_deviation,
 )
 from chaingraph.plates import _index_tuples
 
@@ -329,7 +327,7 @@ def transfer_deviation(g: ChainGraph, seed: int) -> tuple[float, list[str]]:
     pa2 = {r.name(): TermTable(r.vars, acc[r.name()]) for r in e2.terms}
     hidden = tuple(x for x in g.node_names if not g.attr(x).observed)
     observed = tuple(x for x in g.node_names if g.attr(x).observed)
-    return conditional_deviation(build_joint(e, pa), build_joint(e2, pa2), hidden, observed), homeless
+    return per_trial_conditional_deviation(build_joint(e, pa), build_joint(e2, pa2), hidden, observed), homeless
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +390,7 @@ def _per_trial_broadcast(tt, order, domains) -> np.ndarray:
     return arr.reshape([domains[v] if v in tt.vars else 1 for v in order])
 
 
-def per_trial_joint(e, pa: dict) -> JointTable:
+def per_trial_joint(e, pa: dict) -> TermTable:
     """One trial's normalized joint: the product of its tables, term by term."""
     domains = _domains_of(e)
     order, shape = _joint_shape(e)
@@ -402,10 +400,11 @@ def per_trial_joint(e, pa: dict) -> JointTable:
     s = float(arr.sum())
     if not np.isfinite(s) or s <= 0.0:
         raise OracleError("assignment yields a zero or non-finite joint")
-    return JointTable(order, arr / s)
+    return TermTable(order, arr / s)
 
 
-def _per_trial_aligned(j: JointTable, order) -> np.ndarray:
+def per_trial_aligned(j: TermTable, order) -> np.ndarray:
+    """One joint's marginal on ``order``, its axes in that order."""
     vars_, table = j.vars, j.table
     drop = tuple(i for i, v in enumerate(vars_) if v not in order)
     kept = tuple(v for v in vars_ if v in order)
@@ -413,11 +412,13 @@ def _per_trial_aligned(j: JointTable, order) -> np.ndarray:
     return np.transpose(m, [kept.index(v) for v in order])
 
 
-def per_trial_conditional_deviation(j1: JointTable, j2: JointTable, head, given) -> float:
+def per_trial_conditional_deviation(j1: TermTable, j2: TermTable, head, given) -> float:
+    """max |p1(head | given) - p2(head | given)| over the configs of
+    ``given`` that both joints support."""
     head, given = tuple(head), tuple(given)
 
     def cond(j):
-        arr = _per_trial_aligned(j, head + given)
+        arr = per_trial_aligned(j, head + given)
         p = arr.reshape(int(np.prod(arr.shape[: len(head)])), -1)
         pg = p.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -432,9 +433,9 @@ def per_trial_conditional_deviation(j1: JointTable, j2: JointTable, head, given)
     return float(np.abs(c1[:, ok] - c2[:, ok]).max(initial=0.0))
 
 
-def per_trial_marginal_deviation(j1: JointTable, j2: JointTable, on) -> float:
+def per_trial_marginal_deviation(j1: TermTable, j2: TermTable, on) -> float:
     on = tuple(on)
-    return float(np.abs(_per_trial_aligned(j1, on) - _per_trial_aligned(j2, on)).max(initial=0.0))
+    return float(np.abs(per_trial_aligned(j1, on) - per_trial_aligned(j2, on)).max(initial=0.0))
 
 
 def per_trial_equivalence(e1, e2, shared: dict, trials: int, seed: int, mode: str) -> list[float]:
@@ -462,6 +463,44 @@ def per_trial_equivalence(e1, e2, shared: dict, trials: int, seed: int, mode: st
         else:
             devs.append(per_trial_marginal_deviation(j1, j2, head))
     return devs
+
+
+# ---------------------------------------------------------------------------
+# deterministic-node elimination, numerically
+
+
+def eliminated_assignment(g: ChainGraph, g2: ChainGraph, pa: dict) -> dict:
+    """Tables for factorize_chain(g2), where g2 = eliminate_deterministic(g)
+    and g is purely directed: each surviving node's table composes the
+    original one with the deterministic functions it absorbed.  The result
+    represents exactly the original marginal on the surviving nodes."""
+    if not all(e.directed for e in g.edges):
+        raise OracleError("eliminated_assignment requires a purely directed graph")
+    dets = set(g.deterministic_nodes())
+
+    def value_of(x: str, env: dict) -> int:
+        if x in env:
+            return env[x]
+        if x not in dets:
+            raise OracleError(f"value of non-deterministic node {x!r} is not determined")
+        parents = g.sorted_nodes(g.parents(x))
+        vals = tuple(value_of(p, env) for p in parents)
+        env[x] = int(np.argmax(pa[f"delta({x}|{','.join(parents)})"].table[vals]))
+        return env[x]
+
+    out = {}
+    for y in g2.node_names:
+        new_parents = g2.sorted_nodes(g2.parents(y))
+        old_parents = g.sorted_nodes(g.parents(y))
+        old = pa[f"p({y}|{','.join(old_parents)})" if old_parents else f"p({y})"]
+        shape = tuple(g2.attr(p).domain_size for p in new_parents) + (g.attr(y).domain_size,)
+        table = np.empty(shape)
+        for idx in np.ndindex(shape[:-1]):
+            env = dict(zip(new_parents, (int(i) for i in idx)))
+            table[idx] = old.table[tuple(value_of(p, env) for p in old_parents)]
+        new_name = f"p({y}|{','.join(new_parents)})" if new_parents else f"p({y})"
+        out[new_name] = TermTable(tuple(new_parents) + (y,), table)
+    return out
 
 
 # ---------------------------------------------------------------------------

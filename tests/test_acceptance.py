@@ -22,18 +22,18 @@ from chaingraph import (
     conditional_subgraphs,
     corpus,
     eliminate_deterministic,
-    eliminated_assignment,
     expand,
     factorize_chain,
     factorize_plated,
-    marginal_deviation,
     parse,
     render,
     simplify_conditional,
     validate_chain_graph,
 )
 from helpers import (
+    eliminated_assignment,
     has_semi_directed_cycle,
+    per_trial_marginal_deviation,
     random_assignment,
     random_dag,
     random_mixed,
@@ -209,7 +209,7 @@ def test_acceptance_6_deterministic_node_elimination():
         pa = random_assignment(e, seed=rng.randrange(2**31))
         g2 = eliminate_deterministic(g)
         pa2 = eliminated_assignment(g, g2, pa)
-        dev = marginal_deviation(
+        dev = per_trial_marginal_deviation(
             build_joint(e, pa),
             build_joint(factorize_chain(g2), pa2),
             g2.node_names,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chaingraph import corpus, to_dot
+from chaingraph import corpus, emit_model, to_dot
 from chaingraph.cli import run
 from chaingraph.markov import MAX_CLIQUE_NODES
 
@@ -246,6 +246,14 @@ def test_usage_errors_exit_2():
     # malformed binding
     code, _, err = invoke("expand", cg("coin"), "--bind", "N=x")
     assert code == 2
+    # a binding for a symbol that no plate uses, on a plated model and on a plain one
+    code, out, err = invoke("factorize", cg("coin"), "--bind", "N=2", "--bind", "Typo=4")
+    assert code == 2 and not out and "no plate uses the bound symbol(s) 'Typo'" in err
+    code, out, err = invoke("query", cg("fig2"), "--bind", "N=2", "--ci", "a _||_ b")
+    assert code == 2 and not out and "no plate uses the bound symbol(s) 'N'" in err
+    # so a model without plates expands with no binding, to itself
+    code, out, _ = invoke("expand", cg("fig2"))
+    assert code == 0 and out == emit_model(corpus.load("fig2").graph, name="fig2")
     # duplicate binding
     code, _, err = invoke("expand", cg("coin"), "--bind", "N=1", "--bind", "N=2")
     assert code == 2 and "twice" in err

@@ -113,15 +113,6 @@ def test_adjacency_accessors():
             method("z")
 
 
-def test_flavor_flags():
-    assert ChainGraph(["a", "b"], [directed("a", "b")]).is_directed
-    assert not ChainGraph(["a", "b"], [undirected("a", "b")]).is_directed
-    mixed = ChainGraph(["a", "b", "c"], [directed("a", "b"), undirected("b", "c")])
-    assert not mixed.is_directed
-    # the empty-edge graph counts as directed
-    assert ChainGraph(["a"]).is_directed
-
-
 def test_observe_and_with_attrs():
     g = ChainGraph(["a", "b"], [directed("a", "b")])
     g2 = g.with_attrs({"b": NodeAttr(observed=True)})

@@ -93,6 +93,17 @@ def test_latex_variable_treatment(graphs):
     assert r"f_{1}(c,Q,T)" in text
 
 
+def test_latex_subscripts_take_multi_digit_indices():
+    # copy indices past 9 are subscripts too, braced as a group
+    t = FactorTerm("conditional", head=("heads_10",), given=("theta", "heads_9"))
+    assert render_term(t, "latex") == r"p(\text{heads}_{10} \mid \theta,\text{heads}_9)"
+    t = FactorTerm("conditional", head=("x_1_12",), given=("spread_i_j", "bid_ask_12"))
+    assert render_term(t, "latex") == r"p(x_{1,12} \mid \text{spread}_{i,j},\text{bid\_ask}_{12})"
+    # a segment of several letters stays in the name
+    t = FactorTerm("conditional", head=("bid_ask",))
+    assert render_term(t, "latex") == r"p(\text{bid\_ask})"
+
+
 def test_parentless_blocks_get_numbered_normalizers():
     g = ChainGraph("abcdef", [undirected("a", "b"), undirected("b", "c"), undirected("d", "e"), undirected("e", "f")])
     e = factorize_chain(g)

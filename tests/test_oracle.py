@@ -8,7 +8,6 @@ import pytest
 from chaingraph import (
     ChainGraph,
     CiQuery,
-    JointTable,
     NodeAttr,
     OracleError,
     StateSpaceError,
@@ -19,22 +18,22 @@ from chaingraph import (
     check_equivalence,
     check_global_markov,
     ci_deviation,
-    conditional_deviation,
     directed,
     eliminate_deterministic,
-    eliminated_assignment,
     expand,
     factorize_chain,
     implies_ci,
-    marginal_deviation,
     undirected,
     validate_chain_graph,
 )
 from chaingraph import oracle
 from helpers import (
+    eliminated_assignment,
+    per_trial_aligned,
     per_trial_assignment,
     per_trial_equivalence,
     per_trial_joint,
+    per_trial_marginal_deviation,
     random_assignment,
     random_chain_graph,
     random_dag,
@@ -199,26 +198,18 @@ def test_build_joint_checks_tables(graphs):
         build_joint(e, pa3)
 
 
-def test_joint_marginal_and_alignment():
-    j = JointTable(("a", "b"), np.array([[0.1, 0.2], [0.3, 0.4]]))
-    m = j.marginal(("b",))
-    np.testing.assert_allclose(m.table, [0.4, 0.6])
-    flipped = j.aligned(("b", "a"))
-    np.testing.assert_allclose(flipped, j.table.T)
-
-
 # -- deviations ----------------------------------------------------------------------
 
 
 def test_ci_deviation_on_product_distribution():
     pa = np.array([0.3, 0.7])
     pb = np.array([0.6, 0.4])
-    j = JointTable(("a", "b"), np.outer(pa, pb))
+    j = TermTable(("a", "b"), np.outer(pa, pb))
     q = CiQuery(frozenset("a"), frozenset("b"))
     assert ci_deviation(j, q) < 1e-15
     assert ci_deviation(j, q) <= oracle.DEFAULT_TOL
 
-    dependent = JointTable(("a", "b"), np.array([[0.5, 0.0], [0.0, 0.5]]))
+    dependent = TermTable(("a", "b"), np.array([[0.5, 0.0], [0.0, 0.5]]))
     assert ci_deviation(dependent, q) == pytest.approx(0.25)
     assert ci_deviation(dependent, q) > oracle.DEFAULT_TOL
 
@@ -229,16 +220,9 @@ def test_ci_deviation_conditional():
     pa_s = np.array([[0.9, 0.1], [0.1, 0.9]])
     pb_s = np.array([[0.9, 0.1], [0.1, 0.9]])
     table = np.einsum("s,sa,sb->abs", ps, pa_s, pb_s)
-    j = JointTable(("a", "b", "s"), table)
+    j = TermTable(("a", "b", "s"), table)
     assert ci_deviation(j, CiQuery(frozenset("a"), frozenset("b"), frozenset("s"))) < 1e-15
     assert ci_deviation(j, CiQuery(frozenset("a"), frozenset("b"))) > 0.1
-
-
-def test_deviation_helpers_match_themselves(graphs):
-    e = factorize_chain(graphs["fig3"])
-    j = build_joint(e, random_assignment(e, seed=9))
-    assert conditional_deviation(j, j, ("a",), ("b",)) == 0.0
-    assert marginal_deviation(j, j, ("a", "b")) == 0.0
 
 
 # -- numeric vs graph answers ---------------------------------------------------------
@@ -317,7 +301,7 @@ def _one_joint_deviation(j, q):
     """The deviation of one query on one joint, written without the stacked
     kernel that `ci_deviation` and the sweep share."""
     a, b, s = (tuple(sorted(x, key=j.vars.index)) for x in (q.a, q.b, q.s))
-    arr = j.marginal(a + b + s).aligned(a + b + s)
+    arr = per_trial_aligned(j, a + b + s)
     na, nb = arr.shape[0], arr.shape[1]  # singleton queries
     p = arr.reshape(na, nb, -1)
     ps = p.sum(axis=(0, 1))
@@ -693,8 +677,10 @@ def test_equivalence_modes(graphs):
 # -- deterministic elimination, numerically --------------------------------------------
 
 
-def test_eliminated_assignment_preserves_marginal():
-    g = ChainGraph(
+def _det_funnel():
+    """x1 -> d <- x2 with d -> y, d deterministic: eliminating d rewires
+    both x1 and x2 to y."""
+    return ChainGraph(
         {
             "x1": NodeAttr(),
             "x2": NodeAttr(),
@@ -703,6 +689,10 @@ def test_eliminated_assignment_preserves_marginal():
         },
         [directed("x1", "d"), directed("x2", "d"), directed("d", "y")],
     )
+
+
+def test_eliminated_assignment_preserves_marginal():
+    g = _det_funnel()
     g2 = eliminate_deterministic(g)
     e = factorize_chain(g)
     pa = random_assignment(e, seed=31)
@@ -710,7 +700,19 @@ def test_eliminated_assignment_preserves_marginal():
     e2 = factorize_chain(g2)
     j = build_joint(e, pa)
     j2 = build_joint(e2, pa2)
-    assert marginal_deviation(j, j2, g2.node_names) < 1e-14
+    assert per_trial_marginal_deviation(j, j2, g2.node_names) < 1e-14
+
+
+def test_eliminated_assignment_refuses_a_wrong_elimination():
+    # the referee must bite: an elimination that drops the rewired arc
+    # x2 -> y leaves y's value undetermined by its new parents
+    g = _det_funnel()
+    g2 = eliminate_deterministic(g)
+    assert directed("x2", "y") in g2.edges
+    wrong = ChainGraph(g2.attrs(), [e for e in g2.edges if e != directed("x2", "y")])
+    pa = random_assignment(factorize_chain(g), seed=31)
+    with pytest.raises(OracleError, match="'x2' is not determined"):
+        eliminated_assignment(g, wrong, pa)
 
 
 def test_eliminated_assignment_requires_directed(graphs):

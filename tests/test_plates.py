@@ -20,6 +20,7 @@ from chaingraph import (
     undirected,
     validate_plates,
 )
+from chaingraph import plates
 from chaingraph.plates import _ground_size
 from helpers import expand_all_pairs, indval, plate_collisions_by_regex, same_graph
 
@@ -179,6 +180,17 @@ def test_cardinality_errors(models):
         expand(banks, {"Banks": "two", "Prices": 1})
     with pytest.raises(PlateError, match="needs an enclosing plate"):
         expand(models["coin"], {"N": [1, 2]})
+
+
+def test_binding_of_a_symbol_no_plate_uses_is_refused(models, graphs, monkeypatch):
+    with pytest.raises(PlateError, match="no plate uses the bound symbol\\(s\\) 'Typo'$"):
+        expand(models["coin"], {"N": 2, "Typo": 4})
+    with pytest.raises(PlateError, match="symbol\\(s\\) 'M', 'N'$"):
+        expand(PlateModel(graphs["fig2"]), {"N": 2, "M": 1})
+    # refused before the ground graph is sized, so even a huge count is not counted
+    monkeypatch.setattr(plates, "_ground_size", None)
+    with pytest.raises(PlateError, match="'Typo'"):
+        expand(models["coin"], {"N": 10**9, "Typo": 1})
 
 
 def test_expand_coin(models):
