@@ -12,10 +12,11 @@ children and neighbours are tuples of ids, and the cached
 each component's parents) holds ids too.  Names are translated only at
 the public methods, which take and return names.
 
-:func:`validate_chain_graph` performs the semantic checks and reports
-violations with witness cycles rather than raising, so callers that collect
-diagnostics (the model-language resolver, the CLI) can surface all problems
-at once.
+:func:`validate_chain_graph` performs the semantic checks on ids and
+reports violations with witness cycles rather than raising, so callers that
+collect diagnostics (the model-language resolver, the CLI) can surface all
+problems at once: each arc inside a component, then one cycle per strongly
+connected part among the components that Kahn's order leaves out.
 """
 
 from __future__ import annotations
@@ -204,9 +205,6 @@ class ChainGraph:
     def _named(self, ids: Iterable[int]) -> frozenset[str]:
         return frozenset(map(self._names.__getitem__, ids))
 
-    def deterministic_nodes(self) -> tuple[str, ...]:
-        return tuple(n for n, a in zip(self._names, self._attr) if a.deterministic)
-
     # -- local structure ---------------------------------------------------
 
     def parents(self, x: str) -> frozenset[str]:
@@ -220,25 +218,6 @@ class ChainGraph:
     def neighbors(self, x: str) -> frozenset[str]:
         """Nodes joined to x by an undirected edge."""
         return self._named(self._nb[self.index(x)])
-
-    # -- closures ------------------------------------------------------------
-
-    def non_deterministic_children(self, x: str) -> frozenset[str]:
-        """Stochastic nodes reachable from x by arcs through deterministic
-        intermediates only (direct stochastic children included)."""
-        ch, attr = self._ch, self._attr
-        out: set[int] = set()
-        seen_dets: set[int] = set()
-        todo = deque([self.index(x)])
-        while todo:
-            for c in ch[todo.popleft()]:
-                if attr[c].deterministic:
-                    if c not in seen_dets:
-                        seen_dets.add(c)
-                        todo.append(c)
-                else:
-                    out.add(c)
-        return self._named(out)
 
     # -- derived graphs ------------------------------------------------------
 
@@ -416,9 +395,12 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     """Check the chain-graph law and node-attribute sanity.
 
     A graph passes iff it has no semi-directed cycle: equivalently, no arc
-    joins two nodes of a common undirected component, and the quotient graph
-    over undirected components is acyclic.  Each failure is reported with a
-    reconstructed witness cycle.  A deterministic node is a function of its
+    joins two nodes of a common chain component, and the quotient graph
+    over the components is acyclic.  Each arc inside a component is one
+    failure, in edge declaration order; then each strongly connected part
+    of two or more components that Kahn's pass leaves out of
+    :attr:`ComponentIndex.order` is one more.  Each comes with a witness: a
+    closed semi-directed walk.  A deterministic node is a function of its
     parents, so it must have at least one parent and no undirected edge; a
     node both deterministic and observed is legal but warned about.
     """
@@ -426,31 +408,13 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     warnings: list[str] = []
 
     index = g.component_index
-    comps, comp_of = index.components, index.component_of
-
-    # the arcs are looked at only when one lies inside a component or
-    # Kahn's pass finds a cycle, and the witness quotient only in that case
-    quotient: dict[int, dict[int, tuple[str, str]]] = {}
-    cyclic = len(index.order) < len(comps)
-    if cyclic:
-        quotient = {i: {} for i in range(len(comps))}
-    arcs = [e for e in g._edges if e.directed] if cyclic or index.inner_arcs else []
-    ids = g._index
-    for e in arcs:
-        cu, cv = comp_of[ids[e.u]], comp_of[ids[e.v]]
-        if cu == cv:
-            back = g.undirected_path(e.v, e.u)
-            cycle = (e.u, *back[:-1])
-            msg = "semi-directed cycle: " + f"{e.u} -> " + " -- ".join(back)
-            errors.append(Violation("semi-directed-cycle", msg, nodes=cycle, edge=(e.u, e.v)))
-        elif quotient:
-            quotient[cu].setdefault(cv, (e.u, e.v))
-
-    for scc in _cyclic_sccs(quotient):
-        comp_cycle = _cycle_within(quotient, scc)
-        nodes, msg = _node_level_witness(g, quotient, comp_cycle)
-        first_edge = quotient[comp_cycle[0]][comp_cycle[1]]
-        errors.append(Violation("semi-directed-cycle", msg, nodes=nodes, edge=first_edge))
+    if index.inner_arcs:
+        comp_of, ids = index.component_of, g._index
+        for e in g._edges:
+            if e.directed and comp_of[ids[e.u]] == comp_of[ids[e.v]]:
+                errors.append(_cycle_violation(g, [(ids[e.u], ids[e.v])]))
+    if len(index.order) < len(index.components):
+        errors.extend(_cycle_violation(g, arcs) for arcs in _quotient_cycles(g))
 
     for n, a, ps, ns in zip(g._names, g._attr, g._pa, g._nb):
         if not a.deterministic:
@@ -467,98 +431,72 @@ def validate_chain_graph(g: ChainGraph) -> ValidationReport:
     return ValidationReport(errors, warnings)
 
 
-def _cyclic_sccs(quotient: dict[int, dict[int, tuple[str, str]]]) -> list[list[int]]:
-    """Strongly connected components of the quotient with more than one member.
+def _quotient_cycles(g: ChainGraph) -> list[list[tuple[int, int]]]:
+    """One cycle of arcs (tail id, head id) per strongly connected part of
+    two or more components in the quotient.  Only the components that
+    Kahn's pass leaves out can lie on a cycle, so Kosaraju runs over them
+    alone: forward along arcs built from their ``parents``, then back along
+    ``parents`` themselves.  In a part, a walk back from its first component
+    along arcs from other members closes where a component repeats."""
+    index = g.component_index
+    comps, comp_of, comp_parents, pa = index.components, index.component_of, index.parents, g._pa
+    done = set(index.order)
+    succ: dict[int, list[int]] = {k: [] for k in range(len(comps)) if k not in done}  # the left-out components
+    for k in succ:
+        for p in comp_parents[k]:
+            if comp_of[p] in succ:
+                succ[comp_of[p]].append(k)
 
-    Kosaraju with iterative DFS; the quotient has no self-loops, so any
-    multi-member SCC certifies a cycle.
-    """
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in quotient:
-        if start in seen:
+    finished: list[int] = []
+    seen = bytearray(len(comps))
+    for start in succ:
+        if seen[start]:
             continue
-        stack: list[tuple[int, Iterable[int]]] = [(start, iter(quotient[start]))]
-        seen.add(start)
+        seen[start] = 1
+        stack = [(start, iter(succ[start]))]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(quotient[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
+            j = next((j for j in stack[-1][1] if not seen[j]), None)
+            if j is None:
+                finished.append(stack.pop()[0])
+            else:
+                seen[j] = 1
+                stack.append((j, iter(succ[j])))
 
-    reverse: dict[int, list[int]] = {i: [] for i in quotient}
-    for u, targets in quotient.items():
-        for v in targets:
-            reverse[v].append(u)
-
-    assigned: set[int] = set()
-    sccs: list[list[int]] = []
-    for start in reversed(order):
-        if start in assigned:
+    part_of = [-1] * len(comps)
+    cycles: list[list[tuple[int, int]]] = []
+    for start in reversed(finished):
+        if part_of[start] >= 0:
             continue
-        comp = [start]
-        assigned.add(start)
-        todo = deque([start])
-        while todo:
-            x = todo.popleft()
-            for y in reverse[x]:
-                if y not in assigned:
-                    assigned.add(y)
-                    comp.append(y)
-                    todo.append(y)
-        if len(comp) > 1:
-            sccs.append(sorted(comp))
-    return sccs
+        part_of[start] = start
+        part = [start]
+        for k in part:  # the list is its own queue
+            for p in comp_parents[k]:
+                j = comp_of[p]
+                if j in succ and part_of[j] < 0:
+                    part_of[j] = start
+                    part.append(j)
+        if len(part) < 2:
+            continue
+        k, walked, arcs = start, {}, []
+        while k not in walked:
+            walked[k] = len(arcs)
+            tail, head = next(
+                (p, x) for x in comps[k] for p in pa[x] if part_of[comp_of[p]] == start and comp_of[p] != k
+            )
+            arcs.append((tail, head))
+            k = comp_of[tail]
+        cycles.append(arcs[walked[k]:][::-1])
+    return cycles
 
 
-def _cycle_within(quotient: dict[int, dict[int, tuple[str, str]]], scc: list[int]) -> list[int]:
-    """A directed cycle through quotient nodes restricted to one SCC."""
-    members = set(scc)
-    start = scc[0]
-    prev: dict[int, int] = {}
-    todo = deque([start])
-    visited = {start}
-    while todo:
-        x = todo.popleft()
-        for y in quotient[x]:
-            if y == start:
-                cycle = [x]
-                while cycle[-1] != start:
-                    cycle.append(prev[cycle[-1]])
-                cycle.reverse()
-                return cycle
-            if y in members and y not in visited:
-                visited.add(y)
-                prev[y] = x
-                todo.append(y)
-    raise AssertionError("SCC without a cycle")  # pragma: no cover
-
-
-def _node_level_witness(
-    g: ChainGraph,
-    quotient: dict[int, dict[int, tuple[str, str]]],
-    comp_cycle: list[int],
-) -> tuple[tuple[str, ...], str]:
-    """Expand a component-level cycle into node names and a display string."""
-    k = len(comp_cycle)
-    hops = [quotient[comp_cycle[i]][comp_cycle[(i + 1) % k]] for i in range(k)]
-    segments: list[list[str]] = []
-    for i in range(k):
-        comp_idx = comp_cycle[(i + 1) % k]
-        entry = hops[i][1]
-        exit_ = hops[(i + 1) % k][0]
-        seg = g.undirected_path(entry, exit_)
-        segments.append(seg)
-    nodes: list[str] = []
-    for seg in segments:
-        nodes.extend(seg)
-    seg_strs = [" -- ".join(seg) for seg in segments]
-    msg = "semi-directed cycle: " + " -> ".join(seg_strs) + f" -> {segments[0][0]}"
-    return tuple(nodes), msg
+def _cycle_violation(g: ChainGraph, arcs: list[tuple[int, int]]) -> Violation:
+    """The violation for a cycle of arcs (tail id, head id) in which each
+    head shares a chain component with the next arc's tail (the last head
+    with the first tail): each head joins the next tail by an undirected
+    path, which makes the witness a closed semi-directed walk.  A single
+    arc inside a component is the one-arc case."""
+    names = g._names
+    segments = [g.undirected_path(names[h], names[t]) for (_, h), (t, _) in zip(arcs, arcs[1:] + arcs[:1])]
+    msg = f"semi-directed cycle: {' -> '.join(map(' -- '.join, segments))} -> {segments[0][0]}"
+    tail, head = arcs[0]
+    return Violation("semi-directed-cycle", msg, tuple(x for seg in segments for x in seg), (names[tail], names[head]))

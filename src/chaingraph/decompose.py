@@ -18,8 +18,8 @@ No completion edges are added: two parents are adjacent only when the graph
 joins them.  `block_masks` builds that parent-extended adjacency for the
 clique kernel: it takes the node ids of the block and its parents, numbers
 them 0..n-1 in ascending id (node-position) order and gives each the int
-bitmask of its neighbours (an int as wide as the block, so every caller
-checks the clique bound first), read straight off the graph's parent and
+bitmask of its neighbours (an int as wide as the block, so it checks
+the clique bound before it builds any), read straight off the graph's parent and
 neighbour id tuples, together with the bitmask of the block's members.
 The factorizer asks the clique kernel (`markov.clique_ids`) for the
 maximal cliques that meet the members; a conditional subgraph's `cliques`
@@ -88,7 +88,9 @@ def block_masks(g: ChainGraph, members: Sequence[int], parents: Sequence[int]) -
     adjacent to its parents and neighbours; a parent to the members it
     points into and to the other parents it shares an edge with.  Edges are read from the head's side (a
     node's parents and neighbours), so a hub parent's children outside the
-    block are never looked at."""
+    block are never looked at.  Every mask is as wide as the block, so a
+    block over the clique bound is refused before anything is built."""
+    check_clique_bound(len(members) + len(parents))
     nodes = sorted((*members, *parents))
     local = {x: i for i, x in enumerate(nodes)}
     masks = [0] * len(nodes)
@@ -164,7 +166,6 @@ class ConditionalSubgraph:
 
     def cliques(self) -> list[frozenset[str]]:
         """Maximal cliques of the parent-extended graph, canonically ordered."""
-        check_clique_bound(len(self._members) + len(self._parents))
         nodes, masks, _ = block_masks(self.source, self._members, self._parents)
         name = self.source.node_names
         return [frozenset(name[nodes[i]] for i in c) for c in clique_ids(masks, (1 << len(masks)) - 1)]

@@ -45,7 +45,8 @@ Two rewrites return a new graph.  `simplify_conditional` deletes the edges
 that observation makes constant in the product of block conditionals, with
 each larger block's parent-extended graph read off `decompose.block_masks`
 under the clique bound, as the factorizer reads it; `eliminate_deterministic`
-removes deterministic nodes.
+removes deterministic nodes, wiring each stochastic node to the stochastic
+sources that one walk back through its deterministic parents finds.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import ChainGraph, Edge, GraphError
 from .decompose import block_masks, block_order
-from .markov import check_clique_bound, clique_ids
+from .markov import clique_ids
 from .plates import Binding, Plate, PlateModel, expand, require_valid
 
 # `_new(FactorTerm, fields)` builds a term from all five fields without the
@@ -188,7 +189,6 @@ def _block_terms(g: ChainGraph) -> list[tuple[tuple[str, ...], list[FactorTerm]]
             kind = "delta" if attr[x].deterministic else "conditional"
             blocks.append((head, [_new(FactorTerm, (kind, head, given, "", -1))]))
             continue
-        check_clique_bound(len(comp) + len(parents))
         nodes, masks, members = block_masks(g, comp, parents)
         # every member has a neighbour in the block, so each clique has two
         # or more ids and itemgetter gives a tuple; ids ascend, so its
@@ -355,7 +355,6 @@ def simplify_conditional(g: ChainGraph) -> ChainGraph:
             if not hidden[x] and any(hidden[p] for p in parents):
                 kept.update((p, x) if p < x else (x, p) for p in parents)
             continue
-        check_clique_bound(len(comp) + len(parents))
         nodes, masks, _ = block_masks(g, comp, parents)
         hid = sum(1 << i for i, x in enumerate(nodes) if hidden[x])
         blocked = any(hidden[p] for p in parents)
@@ -380,30 +379,35 @@ def simplify_conditional(g: ChainGraph) -> ChainGraph:
 
 def eliminate_deterministic(g: ChainGraph) -> ChainGraph:
     """Remove deterministic nodes, wiring every node to its non-deterministic
-    children so the surviving graph represents the same marginal.
-
-    Deterministic nodes incident to undirected edges have no defined
-    elimination and are rejected.
-    """
-    dets = set(g.deterministic_nodes())
-    for d in dets:
-        if g.neighbors(d):
-            raise GraphError(
-                f"deterministic node {d!r} has undirected edges; elimination is undefined"
-            )
-    keep = [n for n in g.node_names if n not in dets]
-    attrs = {n: g.attr(n) for n in keep}
-    edges = [e for e in g.edges if e.u not in dets and e.v not in dets]
-    present = {(e.u, e.v) for e in edges if e.directed}
-    # Arcs u -> y for each stochastic y reachable from u through
-    # deterministic intermediates, unless already present.
-    for u in keep:
-        for y in g.sorted_nodes(g.non_deterministic_children(u)):
-            if y == u or (u, y) in present:
-                continue
-            edges.append(Edge(u, y, True))
-            present.add((u, y))
-    return ChainGraph(attrs, edges)
+    children so the surviving graph represents the same marginal: a walk
+    back from each stochastic y through its deterministic parents finds its
+    sources u, and the arcs u -> y not already present follow the kept
+    edges in (u, y) order.  A deterministic node with undirected edges has
+    no defined elimination; the first declared is named in the refusal."""
+    names, attr, pa, ids = g.node_names, g._attr, g._pa, g._index
+    det = [a.deterministic for a in attr]
+    for d, is_det, ns in zip(names, det, g._nb):
+        if is_det and ns:
+            raise GraphError(f"deterministic node {d!r} has undirected edges; elimination is undefined")
+    edges = [e for e in g.edges if not det[ids[e.u]] and not det[ids[e.v]]]
+    new: list[tuple[int, int]] = []
+    for y, ps in enumerate(pa):
+        if det[y]:
+            continue
+        todo = [p for p in ps if det[p]]
+        seen = set(todo)
+        sources: set[int] = set()
+        while todo:
+            for p in pa[todo.pop()]:
+                if not det[p]:
+                    sources.add(p)
+                elif p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        new.extend((u, y) for u in sources.difference(ps) if u != y)
+    new.sort()
+    edges += [Edge(names[u], names[y], True) for u, y in new]
+    return ChainGraph({n: a for n, a, d in zip(names, attr, det) if not d}, edges)
 
 
 # -- rendering --------------------------------------------------------------

@@ -459,9 +459,7 @@ def resolve(ast: ModelAst) -> ResolveResult:
 
     def span_for(v: Violation) -> SourceSpan:
         if v.edge is not None:
-            for d in edge_decls:
-                if {d.u, d.v} == set(v.edge):
-                    return d.span
+            return seen_pairs[frozenset(v.edge)].span
         for n in v.nodes:
             if n in node_spans:
                 return node_spans[n]

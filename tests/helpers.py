@@ -122,6 +122,39 @@ def is_closed_semi_directed_walk(g: ChainGraph, nodes) -> bool:
     return arcs >= 1
 
 
+def _reach(nodes, steps) -> dict[str, set[str]]:
+    """For each node, the nodes reachable from it (itself included) along
+    ``steps``, a set of ordered pairs."""
+    out = {}
+    for x in nodes:
+        seen, todo = {x}, [x]
+        while todo:
+            u = todo.pop()
+            for a, b in steps:
+                if a == u and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        out[x] = seen
+    return out
+
+
+def chain_component_of(g: ChainGraph) -> dict[str, frozenset[str]]:
+    """Each node's chain component, by reachability along undirected edges."""
+    steps = {p for e in g.edges if not e.directed for p in ((e.u, e.v), (e.v, e.u))}
+    return {x: frozenset(r) for x, r in _reach(g.node_names, steps).items()}
+
+
+def cyclic_parts(g: ChainGraph) -> set[frozenset[str]]:
+    """The node sets strongly connected by semi-directed paths (arcs
+    forward, undirected edges either way) that span two or more chain
+    components, by brute-force reachability."""
+    steps = {p for e in g.edges for p in (((e.u, e.v),) if e.directed else ((e.u, e.v), (e.v, e.u)))}
+    reach = _reach(g.node_names, steps)
+    comp = chain_component_of(g)
+    parts = {frozenset(y for y in reach[x] if x in reach[y]) for x in g.node_names}
+    return {p for p in parts if len({comp[x] for x in p}) > 1}
+
+
 # ---------------------------------------------------------------------------
 # path-based d-separation (directed graphs only)
 #
@@ -236,6 +269,14 @@ def random_mixed(rng: random.Random, n: int, p: float = 0.4) -> ChainGraph:
             else:
                 edges.append(Edge(v, u, True))
     return ChainGraph(names, edges)
+
+
+def side_by_side(g1: ChainGraph, g2: ChainGraph) -> ChainGraph:
+    """The disjoint union of two graphs, their nodes prefixed ``a`` and
+    ``b``; it has the semi-directed cycles of both."""
+    nodes = {f"{tag}{x}": a for tag, g in (("a", g1), ("b", g2)) for x, a in g.attrs().items()}
+    edges = [Edge(f"{tag}{e.u}", f"{tag}{e.v}", e.directed) for tag, g in (("a", g1), ("b", g2)) for e in g.edges]
+    return ChainGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +510,32 @@ def per_trial_equivalence(e1, e2, shared: dict, trials: int, seed: int, mode: st
 # deterministic-node elimination, numerically
 
 
+def eliminated_edges(g: ChainGraph) -> list[Edge]:
+    """The edge sequence of ``eliminate_deterministic(g)``, by brute force:
+    the edges between stochastic nodes, then u -> y for each stochastic
+    u != y that a directed path with only deterministic nodes inside joins
+    to stochastic y, in (u, y) declaration order, skipping pairs that an
+    edge already joins."""
+    det = {x for x in g.node_names if g.attr(x).deterministic}
+    out = [e for e in g.edges if e.u not in det and e.v not in det]
+    joined = {frozenset((e.u, e.v)) for e in g.edges}
+    for u in g.node_names:
+        if u in det:
+            continue
+        inside, todo = set(), [u]  # the det nodes that u reaches through det nodes
+        while todo:
+            for c in g.children(todo.pop()):
+                if c in det and c not in inside:
+                    inside.add(c)
+                    todo.append(c)
+        for y in g.node_names:
+            if y in det or y == u or frozenset((u, y)) in joined:
+                continue
+            if any(y in g.children(d) for d in inside):
+                out.append(Edge(u, y, True))
+    return out
+
+
 def eliminated_assignment(g: ChainGraph, g2: ChainGraph, pa: dict) -> dict:
     """Tables for factorize_chain(g2), where g2 = eliminate_deterministic(g)
     and g is purely directed: each surviving node's table composes the
@@ -476,7 +543,7 @@ def eliminated_assignment(g: ChainGraph, g2: ChainGraph, pa: dict) -> dict:
     represents exactly the original marginal on the surviving nodes."""
     if not all(e.directed for e in g.edges):
         raise OracleError("eliminated_assignment requires a purely directed graph")
-    dets = set(g.deterministic_nodes())
+    dets = {x for x in g.node_names if g.attr(x).deterministic}
 
     def value_of(x: str, env: dict) -> int:
         if x in env:

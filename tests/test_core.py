@@ -18,6 +18,8 @@ from chaingraph import (
 )
 from helpers import (
     bench_gen,
+    chain_component_of,
+    cyclic_parts,
     edge_triples,
     has_semi_directed_cycle,
     is_closed_semi_directed_walk,
@@ -27,6 +29,7 @@ from helpers import (
     random_dag,
     random_mixed,
     reference,
+    side_by_side,
 )
 
 
@@ -225,14 +228,27 @@ def test_deterministic_rules():
 
 
 def test_validator_agrees_with_brute_force_sample():
+    # one witness per arc inside a chain component, and one per strongly
+    # connected set of nodes that spans two or more components; dense
+    # graphs side by side give graphs with two such sets
     rng = random.Random(20260814)
-    for _ in range(150):
-        g = random_mixed(rng, rng.randint(2, 6))
+    graphs = [random_mixed(rng, rng.randint(2, 6)) for _ in range(150)]
+    dense = [random_mixed(rng, rng.randint(3, 6), 0.6) for _ in range(120)]
+    graphs += [side_by_side(g1, g2) for g1, g2 in zip(dense[::2], dense[1::2])]
+    assert sum(len(cyclic_parts(g)) > 1 for g in graphs) >= 5
+    for g in graphs:
         expect = has_semi_directed_cycle(
             g.node_names, [(e.u, e.v, e.directed) for e in g.edges]
         )
-        got = any(v.kind == "semi-directed-cycle" for v in validate_chain_graph(g).errors)
-        assert got == expect, f"nodes={g.node_names} edges={g.edges}"
+        cycles = [v for v in validate_chain_graph(g).errors if v.kind == "semi-directed-cycle"]
+        assert bool(cycles) == expect, f"nodes={g.node_names} edges={g.edges}"
+        comp = chain_component_of(g)
+        inner = sum(e.directed and comp[e.u] == comp[e.v] for e in g.edges)
+        assert len(cycles) == inner + len(cyclic_parts(g)), f"nodes={g.node_names} edges={g.edges}"
+        for v in cycles:
+            assert is_closed_semi_directed_walk(g, v.nodes)
+            hops = zip(v.nodes, v.nodes[1:] + v.nodes[:1])
+            assert v.edge in hops and v.edge[1] in g.children(v.edge[0]), v
 
 
 def _report_key(report):

@@ -26,6 +26,7 @@ from chaingraph.factorize import _block_terms
 from chaingraph.markov import MAX_CLIQUE_NODES, clique_ids
 from helpers import (
     edge_triples,
+    eliminated_edges,
     joined_pairs,
     parents_of_set,
     random_chain_graph,
@@ -270,17 +271,22 @@ def test_factorizer_asks_the_kernel_only_for_cliques_it_uses(monkeypatch):
             assert count == len(used), render(e)
 
 
-def test_block_over_the_clique_bound_is_refused_before_its_masks(monkeypatch):
-    from chaingraph import decompose, factorize
+def test_block_over_the_clique_bound_is_refused_before_its_masks():
+    from chaingraph.decompose import block_masks
 
-    def no_masks(*args):
-        raise AssertionError("masks built for a block over the bound")
+    class Unread(tuple):
+        """A block whose ids may be counted but not read."""
 
-    monkeypatch.setattr(factorize, "block_masks", no_masks)
-    monkeypatch.setattr(decompose, "block_masks", no_masks)
+        def __iter__(self):
+            raise AssertionError("block read before the clique bound was checked")
+
     names = [f"x{i}" for i in range(MAX_CLIQUE_NODES + 1)]
     g = ChainGraph(names, [undirected(u, v) for u, v in zip(names, names[1:])])
     msg = f"clique enumeration graph has {MAX_CLIQUE_NODES + 1} nodes, over the limit of {MAX_CLIQUE_NODES}"
+    with pytest.raises(CliqueBoundError) as err:
+        block_masks(g, Unread(range(len(names))), Unread())
+    assert str(err.value) == msg
+    # its callers build no masks of their own, so each gets the same refusal
     with pytest.raises(CliqueBoundError) as err:
         factorize_chain(g)
     assert str(err.value) == msg
@@ -383,6 +389,32 @@ def test_eliminate_rejects_undirected_det():
     )
     with pytest.raises(GraphError, match="undirected"):
         eliminate_deterministic(g)
+
+
+def test_eliminate_refusal_names_the_first_det_node_declared():
+    # eight det nodes with undirected edges, declared out of name order:
+    # a pick from a set of them would name another on most hash seeds
+    dets = [f"d{k}" for k in (5, 1, 7, 3, 0, 6, 2, 4)]
+    nodes = {"x": NodeAttr(), **{d: NodeAttr(deterministic=True) for d in dets}, "y": NodeAttr()}
+    edges = [directed("x", d) for d in dets] + [undirected(d, "y") for d in dets]
+    with pytest.raises(GraphError) as err:
+        eliminate_deterministic(ChainGraph(nodes, edges))
+    assert str(err.value) == "deterministic node 'd5' has undirected edges; elimination is undefined"
+
+
+def test_eliminate_matches_brute_force_reference():
+    # valid graphs whose det nodes have no undirected edge
+    rng = random.Random(2727)
+    graphs = 0
+    while graphs < 300:
+        make = random_dag if graphs % 2 else random_chain_graph
+        g = make(rng, rng.randint(2, 12))
+        dets = {x: NodeAttr(deterministic=True) for x in g.node_names if not g.neighbors(x) and rng.random() < 0.35}
+        if not dets:
+            continue
+        g = g.with_attrs(dets)
+        assert list(eliminate_deterministic(g).edges) == eliminated_edges(g), edge_triples(g)
+        graphs += 1
 
 
 # -- observation-driven simplification ------------------------------------------

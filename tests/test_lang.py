@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -221,10 +222,31 @@ def test_resolve_errors(src, needle):
 
 
 def test_cycle_diagnostic_points_at_an_edge():
-    rr = resolve_src("model m { node a; node b; node c; a -> b; b -- c; c -> a; }")
-    err = next(d for d in rr.diagnostics if "cycle" in d.message)
-    assert err.span is not None
-    assert err.span.line == 1
+    # three arcs inside the component {a, .., e}, and the cycle x -> y -> z
+    # -> x among three singletons: each diagnostic points at the line of the arc
+    # that closes its witness, the last hop of its message
+    lines = [
+        "model m {",
+        "  node a; node b; node c; node d; node e; node x; node y; node z;",
+        "  a -- b;",
+        "  b -- c;",
+        "  a -> c;",
+        "  c -- d;",
+        "  b -> d;",
+        "  x -> y;",
+        "  d -- e;",
+        "  e -> a;",
+        "  y -> z;",
+        "  z -> x;",
+        "}",
+    ]
+    rr = resolve_src("\n".join(lines))
+    errs = [d for d in rr.diagnostics if "cycle" in d.message]
+    assert len(errs) == 4
+    for err in errs:
+        *_, u, v = re.split(" -> | -- ", err.message)
+        assert err.message.endswith(f"{u} -> {v}")
+        assert lines[err.span.line - 1] == f"  {u} -> {v};", err.message
 
 
 def test_resolve_warning_for_det_obs():
