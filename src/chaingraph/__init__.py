@@ -39,7 +39,7 @@ _EXPORTS = {
     "plates": ("Binding", "Plate", "PlateError", "PlateModel", "expand", "validate_plates"),
     "lang": (
         "Diagnostic", "EdgeDecl", "ModelAst", "ModelError", "NodeDecl", "ParseResult", "PlateDecl",
-        "ResolveResult", "SourceSpan", "emit_model", "parse", "parse_model", "resolve",
+        "ResolveResult", "SourceSpan", "emit_model", "parse", "parse_model", "read_model", "resolve",
     ),
     "dot": ("to_dot",),
     "oracle": (

@@ -3,13 +3,16 @@
 Exit codes: 0 success; 1 invalid model (or a failed soundness check);
 2 usage error (bad flags, malformed query, bad binding); 3 resource guard
 (state space too large).  Results go to stdout, diagnostics to stderr.
+
+`run` writes to the ``out`` and ``err`` it is given; argparse's help and usage
+errors reach them by a process-wide redirect of sys.stdout and sys.stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +27,7 @@ from .factorize import (
     render,
     simplify_conditional,
 )
-from .lang import Diagnostic, ModelError, emit_model, parse, resolve
+from .lang import ModelError, emit_model, read_model
 from .markov import QueryError, implies_ci, moralize_chain, parse_ci_query
 from .plates import PlateError, PlateModel, expand
 
@@ -62,13 +65,7 @@ def _load(path: str, err) -> PlateModel:
         source = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
-    parsed = parse(source)
-    diags: list[Diagnostic] = list(parsed.diagnostics)
-    model = None
-    if parsed.ast is not None and parsed.ok:
-        resolved = resolve(parsed.ast)
-        diags += resolved.diagnostics
-        model = resolved.model
+    model, diags = read_model(source)
     for d in diags:
         print(d.render(path), file=err)
     if model is None:
@@ -89,40 +86,15 @@ def _graph_for_query(m: PlateModel, bind, what: str) -> ChainGraph:
     return m.graph
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Prints help to ``out`` and usage errors to ``err``, the streams of one
-    `run` call, where argparse would print to sys.stdout and sys.stderr."""
-
-    def __init__(self, *args, out, err, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.out, self.err = out, err
-
-    def print_usage(self, file=None) -> None:
-        super().print_usage(file or self.out)
-
-    def print_help(self, file=None) -> None:
-        super().print_help(file or self.out)
-
-    def exit(self, status: int = 0, message: str | None = None):
-        if message:
-            self.err.write(message)
-        raise SystemExit(status)
-
-    def error(self, message: str):
-        self.print_usage(self.err)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
 
-    parser = partial(_ArgumentParser, out=out, err=err)
-    ap = parser(
+    ap = argparse.ArgumentParser(
         prog="chaingraph",
         description="Parse, validate, decompose, query, and factorize chain-graph models.",
     )
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=parser)
+    sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_: str, *, bind: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
@@ -158,7 +130,8 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     o.add_argument("--json", action="store_true", help="machine-readable per-query records")
 
     try:
-        ns = ap.parse_args(list(argv) if argv is not None else None)
+        with redirect_stdout(out), redirect_stderr(err):
+            ns = ap.parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:  # the parser already printed the message
         return int(exc.code or 0)
 

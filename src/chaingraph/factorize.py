@@ -101,9 +101,10 @@ Item = Union[FactorTerm, PlateProduct]
 
 
 class FactorExpression:
-    """An ordered product of terms, possibly nested in plate products, with
-    optional marginalization (``sum_out``) and an optional ratio denominator
-    (``denom_sum``) produced by conditioning."""
+    """An ordered product of terms, possibly nested in plate products, over
+    variables with the given domain sizes.  Conditioning makes it a ratio
+    (``denom_sum`` not None) that sums ``sum_out`` in the numerator and
+    ``denom_sum`` in the denominator."""
 
     def __init__(
         self,
@@ -111,7 +112,7 @@ class FactorExpression:
         free_vars: frozenset[str],
         given_vars: frozenset[str],
         order: tuple[str, ...],
-        domains: dict[str, int] | None = None,
+        domains: dict[str, int],
         sum_out: tuple[str, ...] = (),
         denom_sum: tuple[str, ...] | None = None,
     ) -> None:
@@ -322,7 +323,7 @@ def condition_expression(e: FactorExpression, target: Iterable[str]) -> FactorEx
         free_vars=target_set,
         given_vars=e.given_vars,
         order=e.order,
-        domains=dict(e.domains) if e.domains is not None else None,
+        domains=dict(e.domains),
         sum_out=by_order(hidden),
         denom_sum=by_order(hidden | target_set),
     )
@@ -382,8 +383,10 @@ def eliminate_deterministic(g: ChainGraph) -> ChainGraph:
     children so the surviving graph represents the same marginal: a walk
     back from each stochastic y through its deterministic parents finds its
     sources u, and the arcs u -> y not already present follow the kept
-    edges in (u, y) order.  A deterministic node with undirected edges has
-    no defined elimination; the first declared is named in the refusal."""
+    edges in (u, y) order.  `block_order` first refuses a graph whose chain
+    components admit no order; a deterministic node with undirected edges has
+    no defined elimination, and the first declared is named in the refusal."""
+    block_order(g)
     names, attr, pa, ids = g.node_names, g._attr, g._pa, g._index
     det = [a.deterministic for a in attr]
     for d, is_det, ns in zip(names, det, g._nb):
@@ -500,17 +503,12 @@ def render(e: FactorExpression, fmt: str = "text") -> str:
     if e.is_ratio:
         if fmt == "text":
             num = raw if not e.sum_out else f"sum_{{{','.join(e.sum_out)}}} [ {raw} ]"
-            return f"{num} / sum_{{{','.join(e.denom_sum or ())}}} [ {raw} ]"
-        dsum = ",".join(_latex_var(v) for v in (e.denom_sum or ()))
+            return f"{num} / sum_{{{','.join(e.denom_sum)}}} [ {raw} ]"
+        dsum = ",".join(_latex_var(v) for v in e.denom_sum)
         if e.sum_out:
             nsum = ",".join(_latex_var(v) for v in e.sum_out)
             num = f"\\sum_{{{nsum}}} {raw}"
         else:
             num = raw
         return f"\\frac{{{num}}}{{\\sum_{{{dsum}}} {raw}}}"
-    if e.sum_out:
-        if fmt == "text":
-            return f"sum_{{{','.join(e.sum_out)}}} [ {raw} ]"
-        nsum = ",".join(_latex_var(v) for v in e.sum_out)
-        return f"\\sum_{{{nsum}}} {raw}"
     return raw

@@ -11,9 +11,10 @@
     }
 
 `#` starts a line comment.  Parsing recovers after a bad statement so one
-pass reports many errors; `resolve` turns an AST into a validated
-PlateModel, reusing the statement spans for graph-level diagnostics.
-Neither ever raises on arbitrary input text.
+pass reports many errors: a failed statement is skipped to its `;`, or to
+the `}` that closes its block.  `resolve` turns an AST into a validated
+PlateModel, reusing the statement spans for graph-level diagnostics, and
+`read_model` runs both.  None of them ever raises on arbitrary input text.
 """
 
 from __future__ import annotations
@@ -166,6 +167,10 @@ def _lex(source: str, diags: list[Diagnostic]) -> list[_Token]:
 # -- parser ------------------------------------------------------------------
 
 
+class _Resync(Exception):
+    """A statement failed, its error recorded: `parse_statements` skips it."""
+
+
 class _Parser:
     def __init__(self, toks: list[_Token], diags: list[Diagnostic]) -> None:
         self.toks = toks
@@ -185,12 +190,19 @@ class _Parser:
     def error(self, message: str, span: SourceSpan | None = None) -> None:
         self.diags.append(Diagnostic("error", message, span or self.cur.span))
 
-    def expect(self, kind: str, what: str) -> _Token | None:
+    def accept(self, kind: str, what: str) -> _Token | None:
+        """The current token if it is a ``kind``, else None with the error recorded."""
         if self.cur.kind == kind:
             return self.bump()
         got = self.cur.value or "end of input"
         self.error(f"expected {what}, found {got!r}")
         return None
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.accept(kind, what)
+        if tok is None:
+            raise _Resync
+        return tok
 
     def sync_statement(self) -> None:
         """Skip to just past the next ';' at brace depth 0 (or stop before
@@ -227,29 +239,31 @@ class _Parser:
 
     def parse_model(self) -> ModelAst | None:
         first = self.cur.span
-        if self.expect("model", "'model'") is None:
-            return None
-        name_tok = self.expect("ident", "model name")
-        if name_tok is None:
-            return None
-        if self.expect("lbrace", "'{'") is None:
+        try:
+            self.expect("model", "'model'")
+            name_tok = self.expect("ident", "model name")
+            self.expect("lbrace", "'{'")
+        except _Resync:
             return None
         stmts = self.parse_statements(depth=0)
-        closing = self.expect("rbrace", "'}'")
+        closing = self.accept("rbrace", "'}'")
         if self.cur.kind != "eof":
             self.error("trailing input after model")
         end = (closing or self.toks[self.pos - 1] if self.pos else self.cur).span.end
         return ModelAst(name_tok.value, tuple(stmts), SourceSpan(first.line, first.column, first.start, end))
 
     def parse_statements(self, depth: int) -> list[Stmt]:
+        """Statements up to an unmatched '}' or end of input; the one recovery point."""
         out: list[Stmt] = []
-        while True:
-            k = self.cur.kind
-            if k in ("rbrace", "eof"):
-                return out
-            stmt = self.parse_statement(depth)
+        while self.cur.kind not in ("rbrace", "eof"):
+            try:
+                stmt = self.parse_statement(depth)
+            except _Resync:
+                self.sync_statement()
+                continue
             if stmt is not None:
                 out.append(stmt)
+        return out
 
     def parse_statement(self, depth: int) -> Stmt | None:
         t = self.cur
@@ -260,10 +274,9 @@ class _Parser:
         if t.kind == "ident":
             return self.parse_edge_decl()
         self.error(f"expected a statement, found {t.value or 'end of input'!r}")
-        self.sync_statement()
-        return None
+        raise _Resync
 
-    def parse_node_decl(self) -> NodeDecl | None:
+    def parse_node_decl(self) -> NodeDecl:
         start = self.cur.span
         attrs: list[str] = []
         while self.cur.kind in ("det", "obs"):
@@ -272,63 +285,38 @@ class _Parser:
                 self.error(f"duplicate attribute '{word}'", self.toks[self.pos - 1].span)
             else:
                 attrs.append(word)
-        if self.expect("node", "'node'") is None:
-            self.sync_statement()
-            return None
+        self.expect("node", "'node'")
         name = self.expect("ident", "node name")
-        if name is None:
-            self.sync_statement()
-            return None
         domain: int | None = None
         if self.cur.kind == "lbracket":
             self.bump()
             size = self.expect("int", "domain size")
-            if size is None or self.expect("rbracket", "']'") is None:
-                self.sync_statement()
-                return None
+            self.expect("rbracket", "']'")
             domain = int(size.value)
             if domain < 1:
                 self.error(f"domain size must be at least 1, got {domain}", size.span)
-                self.sync_statement()
-                return None
+                raise _Resync
         semi = self.expect("semi", "';'")
-        if semi is None:
-            self.sync_statement()
-            return None
         ordered = tuple(a for a in ("det", "obs") if a in attrs)
         return NodeDecl(name.value, ordered, domain, _join(start, semi.span))
 
-    def parse_edge_decl(self) -> EdgeDecl | None:
+    def parse_edge_decl(self) -> EdgeDecl:
         u = self.bump()  # ident, checked by caller
         if self.cur.kind not in ("arrow", "line"):
             got = self.cur.value or "end of input"
             self.error(f"expected '->' or '--' after {u.value!r}, found {got!r}")
-            self.sync_statement()
-            return None
+            raise _Resync
         directed = self.bump().kind == "arrow"
         v = self.expect("ident", "edge endpoint")
-        if v is None:
-            self.sync_statement()
-            return None
         semi = self.expect("semi", "';'")
-        if semi is None:
-            self.sync_statement()
-            return None
         return EdgeDecl(u.value, v.value, directed, _join(u.span, semi.span))
 
     def parse_plate_decl(self, depth: int) -> PlateDecl | None:
         start = self.bump().span  # 'plate'
         name = self.expect("ident", "plate name")
-        if name is None:
-            self.sync_statement()
-            return None
-        if self.expect("lbracket", "'['") is None:
-            self.sync_statement()
-            return None
+        self.expect("lbracket", "'['")
         symbol = self.expect("ident", "cardinality symbol")
-        if symbol is None or self.expect("rbracket", "']'") is None:
-            self.sync_statement()
-            return None
+        self.expect("rbracket", "']'")
         if depth + 1 > MAX_PLATE_NESTING:
             self.error(
                 f"plate {name.value!r} has {depth + 1} levels of nesting, over the limit of {MAX_PLATE_NESTING}",
@@ -336,11 +324,9 @@ class _Parser:
             )
             self.skip_block()
             return None
-        if self.expect("lbrace", "'{'") is None:
-            self.sync_statement()
-            return None
+        self.expect("lbrace", "'{'")
         body = self.parse_statements(depth + 1)
-        closing = self.expect("rbrace", "'}'")
+        closing = self.accept("rbrace", "'}'")
         end = closing.span if closing else self.toks[max(self.pos - 1, 0)].span
         return PlateDecl(name.value, symbol.value, tuple(body), _join(start, end))
 
@@ -382,10 +368,7 @@ def resolve(ast: ModelAst) -> ResolveResult:
     diags: list[Diagnostic] = []
     node_spans: dict[str, SourceSpan] = {}
     attrs: dict[str, NodeAttr] = {}
-    plate_members: dict[str, set[str]] = {}
-    plate_decls: dict[str, PlateDecl] = {}
-    plate_parent: dict[str, str | None] = {}
-    plate_order: list[str] = []
+    plates: dict[str, tuple[str, str | None, set[str]]] = {}  # name -> (symbol, parent, members)
     edge_decls: list[EdgeDecl] = []
 
     for stmt, stack in _walk(ast.statements, ()):
@@ -400,15 +383,12 @@ def resolve(ast: ModelAst) -> ResolveResult:
             )
             node_spans[stmt.name] = stmt.span
             for plate_name in stack:
-                plate_members[plate_name].add(stmt.name)
+                plates[plate_name][2].add(stmt.name)
         elif isinstance(stmt, PlateDecl):
-            if stmt.name in plate_decls:
+            if stmt.name in plates:
                 diags.append(Diagnostic("error", f"duplicate plate {stmt.name!r}", stmt.span))
                 continue
-            plate_decls[stmt.name] = stmt
-            plate_members[stmt.name] = set()
-            plate_parent[stmt.name] = stack[-1] if stack else None
-            plate_order.append(stmt.name)
+            plates[stmt.name] = (stmt.symbol, stack[-1] if stack else None, set())
         else:
             edge_decls.append(stmt)
 
@@ -443,13 +423,8 @@ def resolve(ast: ModelAst) -> ResolveResult:
         model = PlateModel(
             graph,
             tuple(
-                Plate(
-                    name,
-                    plate_decls[name].symbol,
-                    frozenset(plate_members[name]),
-                    plate_parent[name],
-                )
-                for name in plate_order
+                Plate(name, symbol, frozenset(members), parent)
+                for name, (symbol, parent, members) in plates.items()
             ),
             name=ast.name,
         )
@@ -547,12 +522,19 @@ class ModelError(ValueError):
         )
 
 
-def parse_model(source: str, filename: str = "<model>") -> PlateModel:
-    """Parse + resolve, raising ModelError on any error diagnostic."""
+def read_model(source: str) -> tuple[PlateModel | None, list[Diagnostic]]:
+    """Parse, and resolve when the parse has no error: the model, or None
+    on any error, with every diagnostic of both steps.  Never raises."""
     parsed = parse(source)
-    if parsed.ast is None or not parsed.ok:
-        raise ModelError(filename, [d for d in parsed.diagnostics if d.severity == "error"])
+    if not parsed.ok:
+        return None, parsed.diagnostics
     resolved = resolve(parsed.ast)
-    if resolved.model is None:
-        raise ModelError(filename, [d for d in resolved.diagnostics if d.severity == "error"])
-    return resolved.model
+    return resolved.model, parsed.diagnostics + resolved.diagnostics
+
+
+def parse_model(source: str, filename: str = "<model>") -> PlateModel:
+    """`read_model`, raising ModelError on any error diagnostic."""
+    model, diags = read_model(source)
+    if model is None:
+        raise ModelError(filename, [d for d in diags if d.severity == "error"])
+    return model

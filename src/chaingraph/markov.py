@@ -205,14 +205,14 @@ def moralize_chain(g: ChainGraph) -> UndirectedGraph:
     return UndirectedGraph._trusted(g.node_names, g._index, tuple(_moral_rows(g, g._index.values(), None)))
 
 
-def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list[frozenset[str]]:
+def max_cliques(ug: UndirectedGraph) -> list[frozenset[str]]:
     """All maximal cliques, sorted by their members' positions.
 
     The kernel `clique_ids` over masks built from the adjacency; it is
-    exponential in the worst case, so graphs larger than ``node_bound``
-    nodes are refused before any mask is built.
+    exponential in the worst case, so graphs larger than
+    ``MAX_CLIQUE_NODES`` nodes are refused before any mask is built.
     """
-    check_clique_bound(len(ug), node_bound)
+    check_clique_bound(len(ug))
     masks = []
     for i, row in enumerate(ug._adj):
         m = 0
@@ -223,12 +223,12 @@ def max_cliques(ug: UndirectedGraph, node_bound: int = MAX_CLIQUE_NODES) -> list
     return [frozenset(map(nodes.__getitem__, c)) for c in clique_ids(masks, (1 << len(masks)) - 1)]
 
 
-def check_clique_bound(n: int, node_bound: int = MAX_CLIQUE_NODES) -> None:
+def check_clique_bound(n: int) -> None:
     """Refuse a clique search over ``n`` nodes when that is more than
-    ``node_bound``; called before anything is built for the search."""
-    if n > node_bound:
+    ``MAX_CLIQUE_NODES``; called before anything is built for the search."""
+    if n > MAX_CLIQUE_NODES:
         raise CliqueBoundError(
-            f"clique enumeration graph has {n} nodes, over the limit of {node_bound}"
+            f"clique enumeration graph has {n} nodes, over the limit of {MAX_CLIQUE_NODES}"
         )
 
 

@@ -121,16 +121,10 @@ def _check_seed(seed: int) -> None:
         raise OracleError(f"seed must be >= 0, got {seed!r}")
 
 
-def _domains_of(e: FactorExpression) -> dict[str, int]:
-    if e.domains is None:
-        raise OracleError("expression carries no domain sizes")
-    return e.domains
-
-
 def _require_ground(e: FactorExpression) -> None:
     if any(isinstance(it, PlateProduct) for it in e.items):
         raise OracleError("expression has unbound plate products; bind the plates first")
-    if e.is_ratio or e.sum_out:
+    if e.is_ratio:
         raise OracleError("expression is a conditional ratio, not a plain product")
 
 
@@ -157,10 +151,9 @@ def _draw_terms(e: FactorExpression, rngs: Sequence[np.random.Generator]) -> Pot
     trial; the caller keeps ``len(rngs)`` times the joint within
     ``MAX_JOINT_CONFIGS``."""
     _require_ground(e)
-    domains = _domains_of(e)
     pa: PotentialAssignment = {}
     for t in e.terms:
-        shape = _term_shape(t, domains)
+        shape = _term_shape(t, e.domains)
         _check_size(f"table for {t.name()}", shape)
         if t.kind == "conditional":
             raw = _positive(rngs, shape)
@@ -209,7 +202,7 @@ def _compute_normalizers(
 ) -> None:
     """(Re)derive each normalizer table as 1 / sum of its group's potential
     product, for each of the ``trials`` stacked tables in ``pa``."""
-    domains = _domains_of(e)
+    domains = e.domains
     terms = e.terms
     for t in terms:
         if t.kind != "normalizer" or t.name() in skip:
@@ -243,12 +236,11 @@ def _broadcast(tt: TermTable, order: Sequence[str], domains: Mapping[str, int]) 
 
 def _joint_shape(e: FactorExpression) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Variables (in expression order) and shape of the joint, size-checked."""
-    domains = _domains_of(e)
     used: set[str] = set()
     for t in e.terms:
         used.update(t.vars)
     order = tuple(v for v in e.order if v in used)
-    shape = tuple(domains[v] for v in order)
+    shape = tuple(e.domains[v] for v in order)
     _check_size("joint", shape)
     return order, shape
 
@@ -257,11 +249,10 @@ def _joint_stack(e: FactorExpression, pa: PotentialAssignment, trials: int) -> n
     """The normalized joints of ``trials`` stacked tables, as (trials,
     *joint): one broadcast multiply per term, then one sum and one division
     per trial, so each trial's joint is summed as a joint of its own."""
-    domains = _domains_of(e)
     order, shape = _joint_shape(e)
     arr = np.ones((trials,) + shape)
     for t in e.terms:
-        arr *= _broadcast(pa[t.name()], order, domains)
+        arr *= _broadcast(pa[t.name()], order, e.domains)
     for joint in arr:
         s = float(joint.sum())
         if not np.isfinite(s) or s <= 0.0:
@@ -273,7 +264,6 @@ def _joint_stack(e: FactorExpression, pa: PotentialAssignment, trials: int) -> n
 def build_joint(e: FactorExpression, pa: PotentialAssignment) -> TermTable:
     """Explicit normalized joint over every variable the expression mentions."""
     _require_ground(e)
-    domains = _domains_of(e)
     order, _ = _joint_shape(e)
     for t in e.terms:
         tt = pa.get(t.name())
@@ -281,7 +271,7 @@ def build_joint(e: FactorExpression, pa: PotentialAssignment) -> TermTable:
             raise OracleError(f"no table assigned to term {t.name()}")
         if tuple(tt.vars) != t.vars:
             raise OracleError(f"table for {t.name()} has variables {tt.vars}, expected {t.vars}")
-        expected = _term_shape(t, domains)
+        expected = _term_shape(t, e.domains)
         if tuple(tt.table.shape) != expected:
             raise OracleError(f"table for {t.name()} has shape {tt.table.shape}, expected {expected}")
     one = {t.name(): TermTable(t.vars, pa[t.name()].table[None]) for t in e.terms}
@@ -584,7 +574,6 @@ def check_global_markov(
     trials: int = 20,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    dependence_threshold: float = DEPENDENCE_THRESHOLD,
 ) -> MarkovReport:
     """Verify every implied independence numerically on random instantiations.
 
@@ -637,10 +626,10 @@ def check_global_markov(
         del pre
 
     records = tuple(
-        QueryRecord(q, imp, dev, (not imp) or dev <= tol, imp or dev > dependence_threshold)
+        QueryRecord(q, imp, dev, (not imp) or dev <= tol, imp or dev > DEPENDENCE_THRESHOLD)
         for q, imp, dev in zip(queries, implied, max_dev.tolist())
     )
-    return MarkovReport(n, trials, seed, tol, dependence_threshold, records)
+    return MarkovReport(n, trials, seed, tol, DEPENDENCE_THRESHOLD, records)
 
 
 # -- expression equivalence ---------------------------------------------------

@@ -20,7 +20,6 @@ from chaingraph.oracle import (
     OracleError,
     TermTable,
     _check_size,
-    _domains_of,
     _joint_shape,
     _require_ground,
     _term_shape,
@@ -379,7 +378,7 @@ def transfer_deviation(g: ChainGraph, seed: int) -> tuple[float, list[str]]:
 def per_trial_assignment(e, rng: np.random.Generator) -> dict:
     """One trial's tables, drawn term by term from ``rng``."""
     _require_ground(e)
-    domains = _domains_of(e)
+    domains = e.domains
     pa = {}
     for t in e.terms:
         shape = _term_shape(t, domains)
@@ -407,7 +406,7 @@ def per_trial_assignment(e, rng: np.random.Generator) -> dict:
 
 def per_trial_normalizers(e, pa: dict, skip: frozenset) -> None:
     """Each normalizer as 1 / sum of its group's potential product."""
-    domains = _domains_of(e)
+    domains = e.domains
     for t in e.terms:
         if t.kind != "normalizer" or t.name() in skip:
             continue
@@ -433,7 +432,7 @@ def _per_trial_broadcast(tt, order, domains) -> np.ndarray:
 
 def per_trial_joint(e, pa: dict) -> TermTable:
     """One trial's normalized joint: the product of its tables, term by term."""
-    domains = _domains_of(e)
+    domains = e.domains
     order, shape = _joint_shape(e)
     arr = np.ones(shape)
     for t in e.terms:

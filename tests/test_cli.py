@@ -278,6 +278,9 @@ def test_argument_errors_go_to_the_given_err(capsys):
     code, out, err = invoke("validate")
     assert (code, out) == (2, "")
     assert "the following arguments are required: model" in err
+    code, out, err = invoke("factorize", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: chaingraph factorize [-h]") and "--condition X[,Y...]" in out
     # nothing reaches the process's own streams
     assert capsys.readouterr() == ("", "")
 

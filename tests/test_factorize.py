@@ -22,6 +22,7 @@ from chaingraph import (
     undirected,
     validate_chain_graph,
 )
+from chaingraph.decompose import block_order
 from chaingraph.factorize import _block_terms
 from chaingraph.markov import MAX_CLIQUE_NODES, clique_ids
 from helpers import (
@@ -400,6 +401,39 @@ def test_eliminate_refusal_names_the_first_det_node_declared():
     with pytest.raises(GraphError) as err:
         eliminate_deterministic(ChainGraph(nodes, edges))
     assert str(err.value) == "deterministic node 'd5' has undirected edges; elimination is undefined"
+
+
+@pytest.mark.parametrize("closing", [directed("y", "u"), undirected("u", "y")])
+def test_eliminate_refuses_a_cycle_through_a_det_node(closing):
+    # the new arc u -> y would meet the edge that closes the cycle
+    g = ChainGraph(
+        {"u": NodeAttr(), "d": NodeAttr(deterministic=True), "y": NodeAttr()},
+        [directed("u", "d"), directed("d", "y"), closing],
+    )
+    with pytest.raises(GraphError) as expected:
+        block_order(g)
+    with pytest.raises(GraphError) as err:
+        eliminate_deterministic(g)
+    assert str(err.value) == str(expected.value)
+
+
+def test_eliminate_refuses_exactly_the_graphs_without_a_block_order():
+    rng = random.Random(2828)
+    refused = 0
+    for _ in range(300):
+        g = random_mixed(rng, rng.randint(3, 9))
+        dets = {x: NodeAttr(deterministic=True) for x in g.node_names if not g.neighbors(x) and rng.random() < 0.35}
+        g = g.with_attrs(dets)
+        index = g.component_index
+        try:
+            eliminate_deterministic(g)
+        except GraphError as exc:
+            assert len(index.order) < len(index.components), edge_triples(g)
+            assert str(exc).startswith("chain components admit no topological order"), str(exc)
+            refused += 1
+        else:
+            assert len(index.order) == len(index.components), edge_triples(g)
+    assert refused > 50
 
 
 def test_eliminate_matches_brute_force_reference():

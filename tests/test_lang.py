@@ -23,6 +23,7 @@ from chaingraph import (
     expand,
     parse,
     parse_model,
+    read_model,
     resolve,
 )
 from chaingraph.lang import _lex
@@ -101,6 +102,100 @@ def test_error_recovery_collects_multiple_diagnostics():
     # recovery must still deliver the salvageable declarations
     names = [s.name for s in r.ast.statements if isinstance(s, NodeDecl)]
     assert "c" in names
+
+
+def _statement_names(stmts):
+    out = []
+    for s in stmts:
+        if isinstance(s, NodeDecl):
+            out.append(s.name)
+        elif isinstance(s, EdgeDecl):
+            out.append(f"{s.u}{'->' if s.directed else '--'}{s.v}")
+        else:
+            out.append(f"{s.name}[{' '.join(_statement_names(s.body))}]")
+    return out
+
+
+_TOO_DEEP = "model m {\n" + "plate p [N] { " * 17 + "node x; " + "} " * 17 + "\n  node b;\n}"
+
+
+@pytest.mark.parametrize(
+    "src, diagnostics, survivors",
+    [
+        # the model header: no model without it
+        ("modl m {\n  node a;\n}", [(1, 1, "expected 'model', found 'modl'")], None),
+        ("model {\n  node a;\n}", [(1, 7, "expected model name, found '{'")], None),
+        ("model m\n  node a;\n}", [(2, 3, "expected '{', found 'node'")], None),
+        # a failed statement is skipped to its ';'
+        ("model m {\n  node a;\n  5 node c;\n  node b;\n}", [(3, 3, "expected a statement, found '5'")], ["a", "b"]),
+        ("model m {\n  det obs det node a;\n  node b;\n}", [(2, 11, "duplicate attribute 'det'")], ["a", "b"]),
+        ("model m {\n  node a;\n  obs c;\n  node b;\n}", [(3, 7, "expected 'node', found 'c'")], ["a", "b"]),
+        ("model m {\n  node a;\n  node 7;\n  node b;\n}", [(3, 8, "expected node name, found '7'")], ["a", "b"]),
+        ("model m {\n  node a;\n  node c [x];\n  node b;\n}", [(3, 11, "expected domain size, found 'x'")], ["a", "b"]),
+        ("model m {\n  node a;\n  node c [3;\n  node b;\n}", [(3, 12, "expected ']', found ';'")], ["a", "b"]),
+        (
+            "model m {\n  node a;\n  node c [0];\n  node b;\n}",
+            [(3, 11, "domain size must be at least 1, got 0")],
+            ["a", "b"],
+        ),
+        (
+            "model m {\n  node a;\n  a b;\n  node b;\n}",
+            [(3, 5, "expected '->' or '--' after 'a', found 'b'")],
+            ["a", "b"],
+        ),
+        ("model m {\n  node a;\n  a -> ;\n  node b;\n}", [(3, 8, "expected edge endpoint, found ';'")], ["a", "b"]),
+        # a missing ';' takes the next statement with it
+        ("model m {\n  node a;\n  node c\n  node d;\n  node b;\n}", [(4, 3, "expected ';', found 'node'")], ["a", "b"]),
+        ("model m {\n  node a;\n  a -- b\n  node c;\n  node b;\n}", [(4, 3, "expected ';', found 'node'")], ["a", "b"]),
+        # a bad plate header skips the block and runs on to the next ';' outside it
+        (
+            "model m {\n  node a;\n  plate [N] { node c; }\n  node d;\n  node b;\n}",
+            [(3, 9, "expected plate name, found '['")],
+            ["a", "b"],
+        ),
+        (
+            "model m {\n  node a;\n  plate p N] { node c; }\n  node d;\n  node b;\n}",
+            [(3, 11, "expected '[', found 'N'")],
+            ["a", "b"],
+        ),
+        (
+            "model m {\n  node a;\n  plate p [3] { node c; }\n  node d;\n  node b;\n}",
+            [(3, 12, "expected cardinality symbol, found '3'")],
+            ["a", "b"],
+        ),
+        (
+            "model m {\n  node a;\n  plate p [N { node c; }\n  node d;\n  node b;\n}",
+            [(3, 14, "expected ']', found '{'")],
+            ["a", "b"],
+        ),
+        # an over-deep plate is skipped whole, its block included
+        (_TOO_DEEP, [(2, 225, "plate 'p' has 17 levels of nesting, over the limit of 16")], ["p[" * 16 + "]" * 16, "b"]),
+        # without its '{', the plate's '}' closes the model
+        (
+            "model m {\n  node a;\n  plate p [N] node c; }\n  node b;\n}",
+            [(3, 15, "expected '{', found 'node'"), (4, 3, "trailing input after model")],
+            ["a"],
+        ),
+        # an unclosed plate takes the model's '}'
+        (
+            "model m {\n  node a;\n  plate p [N] {\n    node c;\n  node b;\n}",
+            [(6, 2, "expected '}', found 'end of input'")],
+            ["a", "p[c b]"],
+        ),
+        ("model m {\n  node a;\n}\nnode b;", [(4, 1, "trailing input after model")], ["a"]),
+    ],
+    ids=[
+        "model", "model-name", "model-lbrace", "statement", "duplicate-attr", "node", "node-name", "domain-int",
+        "domain-rbracket", "domain-zero", "edge-operator", "edge-endpoint", "node-semi", "edge-semi", "plate-name",
+        "plate-lbracket", "plate-symbol", "plate-rbracket", "plate-too-deep", "plate-lbrace", "plate-unclosed",
+        "trailing",
+    ],
+)
+def test_every_recovery_site(src, diagnostics, survivors):
+    r = parse(src)
+    assert [(d.span.line, d.span.column, d.message) for d in r.diagnostics] == diagnostics
+    assert all(d.severity == "error" for d in r.diagnostics) and not r.ok
+    assert (None if r.ast is None else _statement_names(r.ast.statements)) == survivors
 
 
 def test_domain_must_be_positive():
@@ -329,6 +424,15 @@ def test_emit_model_rejects_overlapping_plates():
     with pytest.raises(PlateError) as err:
         emit_model(m)
     assert str(err.value) == "node 'x' is in plates 'P' and 'Q', which do not nest; .cg text cannot place it in both"
+
+
+def test_read_model_returns_the_diagnostics_of_both_steps():
+    model, diags = read_model("model m { node a; det obs node b; a -> b; }")
+    assert model is not None and [d.severity for d in diags] == ["warning"]
+    model, diags = read_model("model m { node a; a -> b; }")
+    assert model is None and [d.message for d in diags] == ["unknown node 'b' in edge"]
+    model, diags = read_model("model m { node a [0]; a -> b; }")
+    assert model is None and [d.message for d in diags] == ["domain size must be at least 1, got 0"]
 
 
 def test_parse_model_raises_with_diagnostics():

@@ -277,9 +277,10 @@ def test_max_cliques_edgeless_and_empty():
 
 
 def test_max_cliques_bound():
-    ug = UndirectedGraph([f"n{i}" for i in range(10)], [])
-    with pytest.raises(CliqueBoundError, match="graph has 10 nodes, over the limit of 9"):
-        max_cliques(ug, node_bound=9)
+    n = MAX_CLIQUE_NODES + 1
+    ug = UndirectedGraph([f"n{i}" for i in range(n)], [])
+    with pytest.raises(CliqueBoundError, match=f"graph has {n} nodes, over the limit of {MAX_CLIQUE_NODES}"):
+        max_cliques(ug)
 
 
 def test_max_cliques_canonical_order():
@@ -366,17 +367,17 @@ class _Unread:
     __contains__ = __getitem__ = __iter__
 
 
-@pytest.mark.parametrize("bound", [0, 5, MAX_CLIQUE_NODES])
-def test_clique_bound_fires_before_any_mask(bound):
+def test_clique_bound_fires_before_any_mask():
+    bound = MAX_CLIQUE_NODES
     nodes = tuple(f"n{i}" for i in range(bound + 1))
     ug = UndirectedGraph._trusted(nodes, _Unread(), {n: _Unread() for n in nodes})
     msg = f"clique enumeration graph has {bound + 1} nodes, over the limit of {bound}"
     with pytest.raises(CliqueBoundError) as err:
-        max_cliques(ug, node_bound=bound)
+        max_cliques(ug)
     assert str(err.value) == msg
     # at the bound itself the search runs
     edgeless = UndirectedGraph(nodes[:bound])
-    assert max_cliques(edgeless, node_bound=bound) == [frozenset((x,)) for x in nodes[:bound]]
+    assert max_cliques(edgeless) == [frozenset((x,)) for x in nodes[:bound]]
 
 
 # -- observation-driven simplification: the DAG and Markov-network cases --------
