@@ -12,7 +12,9 @@
 
 `#` starts a line comment.  Parsing recovers after a bad statement so one
 pass reports many errors: a failed statement is skipped to its `;`, or to
-the `}` that closes its block.  `resolve` turns an AST into a validated
+the `}` that closes its block.  A `{ ... }` block the skip runs into, such
+as the body of a plate whose header failed, is skipped whole, and parsing
+resumes just past its `}`.  `resolve` turns an AST into a validated
 PlateModel, reusing the statement spans for graph-level diagnostics, and
 `read_model` runs both.  None of them ever raises on arbitrary input text.
 """
@@ -205,8 +207,9 @@ class _Parser:
         return tok
 
     def sync_statement(self) -> None:
-        """Skip to just past the next ';' at brace depth 0 (or stop before
-        an unmatched '}' / at end of input)."""
+        """Skip to just past the next ';' at brace depth 0, or just past the
+        '}' that closes a block the skip entered (or stop before an
+        unmatched '}' / at end of input)."""
         depth = 0
         while True:
             k = self.cur.kind
@@ -218,6 +221,9 @@ class _Parser:
                 if depth == 0:
                     return
                 depth -= 1
+                if depth == 0:
+                    self.bump()
+                    return
             elif k == "semi" and depth == 0:
                 self.bump()
                 return

@@ -19,9 +19,10 @@ in the graph however many parents a component has.
 For a purely directed graph the same procedure degenerates to classic
 moralization of parents.  `moralize_chain` applies the same rule to every
 node, one tuple of neighbour ids per node with no edge list in between,
-and `moral_adjacency` to the marked components of an anterior set, which
-`separated_pairs` reads.  An `UndirectedGraph` keeps names only at its
-public methods: inside, node i holds the tuple of its neighbours' ids.
+and `moral_adjacency` to the marked components of an anterior set, from
+which the oracle's sweep takes one node's moral graph at a time.  An
+`UndirectedGraph` keeps names only at its public methods: inside, node i
+holds the tuple of its neighbours' ids.
 
 The module also hosts the one maximal-clique kernel, `clique_ids(masks,
 roots)`, whose contract is "the maximal cliques that meet ``roots``":
@@ -41,7 +42,7 @@ the node bound before any mask is built; `CliqueBoundError` is a
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import ChainGraph, GraphError, StateSpaceError
 
@@ -333,35 +334,3 @@ def implies_ci(g: ChainGraph, q: CiQuery) -> bool:
                 return False
     return True
 
-
-def separated_pairs(members: Sequence[int], moral: Mapping[int, Sequence[int]]) -> list[tuple[int, int]]:
-    """The pairs (a, b) of the node ids ``members`` (ascending), a before
-    b, for which ``implies_ci(g, a _||_ b | members - {a, b})`` holds, all
-    found in one pass.  ``moral`` is ``moral_adjacency`` of the anterior set
-    of ``members``: every such query has that anterior set, so node sets
-    with one anterior set can share it.
-
-    A path from a to b that avoids the rest of ``members`` is the edge
-    a - b or runs through An(members) - members alone: a and b are
-    separated iff they are not moral neighbours and touch no common
-    component of the moral graph on An(members) - members.
-    """
-    rest = moral.keys() - set(members)
-    label: dict[int, int] = {}  # each node of the rest -> a root of its component
-    for root in rest:
-        if root in label:
-            continue
-        label[root] = root
-        todo = [root]
-        while todo:
-            for y in moral[todo.pop()]:
-                if y in rest and y not in label:
-                    label[y] = root
-                    todo.append(y)
-    touched = {u: {label[y] for y in moral[u] if y in label} for u in members}
-    return [
-        (a, b)
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-        if b not in moral[a] and touched[a].isdisjoint(touched[b])
-    ]

@@ -19,8 +19,8 @@ graph-level answer be confirmed or refuted numerically:
   pair of the block's axes scores a _||_ b | U - {a, b} for every set in
   it, taking p(S) from the block wherever numpy's order of summation for
   the query can be read from it.  Whether the graph implies each query
-  comes from one pass per node set over the moral graph of its anterior
-  set.
+  comes from one pass per node set, on bitmasks, over the moral graph of
+  its anterior set.
 * `check_equivalence` instantiates two expressions with shared tables for
   designated terms and compares the conditional (or a marginal) they
   represent, scoring every trial of a chunk in one call of one kernel.
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -63,12 +64,16 @@ from .factorize import (
     PlateProduct,
     factorize_chain,
 )
-from .markov import CiQuery, implies_ci, moral_adjacency, separated_pairs  # noqa: F401  (implies_ci re-exported)
+from .markov import CiQuery, implies_ci, moral_adjacency  # noqa: F401  (implies_ci re-exported)
 
 MAX_JOINT_CONFIGS = 1 << 20
 MAX_MARKOV_NODES = 10
 DEFAULT_TOL = 1e-9
 DEPENDENCE_THRESHOLD = 1e-6
+
+# `_new(cls, fields)` builds a named tuple from all its fields without its
+# ``__new__``; the sweep makes one query and one record per (pair, set)
+_new = tuple.__new__
 
 
 class OracleError(ValueError):
@@ -445,25 +450,29 @@ def all_singleton_queries(g: ChainGraph) -> list[CiQuery]:
     """Every (a _||_ b | S) with singleton a, b and S over the remaining nodes.
 
     Pairs come in node order, a before b; each pair's sets S count up as
-    bitmasks over the remaining nodes in order (see `_query_index`)."""
+    bitmasks over the remaining nodes in order (see `_query_index`).  The
+    2^n node sets are built once, by doubling, and each pair looks its sets
+    up by bitmask, so the queries share one frozenset per set.  Every query
+    is disjoint by construction and is built without `CiQuery`'s checks."""
     names = g.node_names
+    subsets = [frozenset()]
+    for v in names:
+        subsets += [s | {v} for s in subsets]
+    masks = np.arange(len(subsets))
+    singles = [frozenset((v,)) for v in names]
     out: list[CiQuery] = []
-    for i, a in enumerate(names):
-        fa = frozenset((a,))
-        for b in names[i + 1 :]:
-            fb = frozenset((b,))
-            subsets = [frozenset()]
-            for v in names:
-                if v != a and v != b:
-                    subsets += [s | {v} for s in subsets]
-            out.extend(CiQuery(fa, fb, s) for s in subsets)
+    for ia, ib in combinations(range(len(names)), 2):
+        fa, fb = singles[ia], singles[ib]
+        sets = masks[(masks & (1 << ia | 1 << ib)) == 0]  # S over the other nodes, counting up
+        out += [_new(CiQuery, (fa, fb, subsets[m])) for m in sets.tolist()]
     return out
 
 
-def _query_index(n: int, ia: int, ib: int, nodes: int) -> int:
+def _query_index(n: int, ia, ib, nodes):
     """Position in `all_singleton_queries` of a _||_ b | S over ``n`` nodes,
     where a and b sit at node positions ``ia < ib`` and the bitmask ``nodes``
-    over node positions holds a, b and S."""
+    over node positions holds a, b and S.  Elementwise on integer arrays
+    that broadcast together."""
     low = nodes & ((1 << ia) - 1)
     mid = nodes >> (ia + 1) & ((1 << (ib - ia - 1)) - 1)
     high = nodes >> (ib + 1)
@@ -471,30 +480,81 @@ def _query_index(n: int, ia: int, ib: int, nodes: int) -> int:
     return pair << (n - 2) | low | mid << ia | high << (ib - 1)
 
 
-def _node_sets(nodes: Sequence) -> Iterator[tuple[int, tuple]]:
-    """Every set of two or more of ``nodes`` (names or ids, in node order),
-    as a bitmask over node positions and its nodes in node order."""
-    for mask in range(1 << len(nodes)):
-        if mask & (mask - 1):
-            yield mask, tuple(v for k, v in enumerate(nodes) if mask >> k & 1)
+def _node_sets(n: int) -> np.ndarray:
+    """Every set of two or more of ``n`` nodes, as a bitmask over node
+    positions, ascending."""
+    masks = np.arange(1 << n)
+    return masks[(masks & (masks - 1)) != 0]
 
 
 def _implied(g: ChainGraph, count: int) -> list[bool]:
     """`implies_ci` of each of the ``count`` queries of `all_singleton_queries`,
-    found by one `separated_pairs` pass per node set.  The moral adjacency
-    of an anterior set is built once, for the first node set that has it."""
+    found per node set U on bitmasks over node positions.
+
+    The anterior closure distributes over union, and so does the moral
+    graph of an anterior set: An(U) is the union of its members' anterior
+    sets, and the moral graph of An(U), one row of neighbour bits per node,
+    is the union of the members' own (`moral_adjacency` of each node's
+    anterior set), built once per anterior set.  The components of the
+    moral graph on An(U) - U come from a flood along its rows.  A path from
+    a to b in U that avoids the rest of U is the edge a - b or runs through
+    An(U) - U alone, so a and b are separated iff they are not moral
+    neighbours and touch no common component."""
     n = len(g)
-    anterior = g.component_index.anterior
-    implied = [False] * count
-    moral: dict[bytes, dict[int, tuple[int, ...]]] = {}
-    for mask, nodes in _node_sets(range(n)):
-        inside = anterior(nodes)
-        key = bytes(inside)
-        if key not in moral:
-            moral[key] = moral_adjacency(g, inside)
-        for a, b in separated_pairs(nodes, moral[key]):
-            implied[_query_index(n, a, b, mask)] = True
-    return implied
+    index = g.component_index
+    comp_bits = [sum(1 << x for x in comp) for comp in index.components]
+    own, own_moral = [], []  # per node: its anterior set, and that set's moral graph with row y at bits y*n
+    for x in range(n):
+        marks = index.anterior((x,))
+        own.append(sum(b for b, k in zip(comp_bits, marks) if k))
+        own_moral.append(sum(1 << (y * n + z) for y, ys in moral_adjacency(g, marks).items() for z in ys))
+    full = (1 << n) - 1
+    an = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        an[mask] = an[mask ^ low] | own[low.bit_length() - 1]
+    moral: dict[int, list[int]] = {}  # anterior mask -> neighbour bits per node
+    found: list[tuple[int, int, int]] = []
+    for mask in _node_sets(n).tolist():
+        inside = an[mask]
+        rows = moral.get(inside)
+        if rows is None:
+            packed = reduce(operator.or_, (own_moral[x] for x in range(n) if mask >> x & 1))
+            rows = moral[inside] = [packed >> (y * n) & full for y in range(n)]
+        near = rows.copy()  # for each member: the members joined to it off U
+        left = inside & ~mask
+        while left:
+            comp = frontier = left & -left
+            touched = 0
+            while frontier:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grown |= rows[low.bit_length() - 1]
+                touched |= grown
+                frontier = grown & left & ~comp
+                comp |= frontier
+            left &= ~comp
+            joined = rest = touched & mask  # the members next to the component
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                near[low.bit_length() - 1] |= joined
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            apart = mask & ~near[a] & -(low << 1)  # the members after a it is separated from
+            if apart:
+                found.append((a, apart, mask))
+    implied = np.zeros(count, dtype=bool)
+    if found:
+        a, apart, mask = np.array(found).T
+        row, b = np.nonzero(apart[:, None] >> np.arange(n) & 1)
+        implied[_query_index(n, a[row], b, mask[row])] = True
+    return implied.tolist()
 
 
 class _Block(NamedTuple):
@@ -503,37 +563,49 @@ class _Block(NamedTuple):
     queries: np.ndarray  # [pair of local axes, node set] -> query index
 
 
-def _blocks(names: Sequence[str], shape: Sequence[int], trials: int) -> list[_Block]:
-    """The node sets of the joint over ``names`` (of this ``shape``), sorted
-    by domain shape into blocks of at most ``MAX_JOINT_CONFIGS >> 7`` entries
-    over ``trials`` trials, or of one set each where one set is larger.
+# a block holds at most MAX_JOINT_CONFIGS >> _BLOCK_SHIFT entries
+_BLOCK_SHIFT = 4
+
+
+def _blocks(shape: Sequence[int], trials: int) -> list[_Block]:
+    """The node sets of a joint of this ``shape`` (node positions as axes),
+    sorted by domain shape into blocks of at most ``MAX_JOINT_CONFIGS >>
+    _BLOCK_SHIFT`` entries over ``trials`` trials, or of one set each where
+    one set is larger.
 
     A node set's marginal is ``pre[m].sum(axis=axes)`` (see
     `_trailing_sums`): m ends the set's last kept axis of more than one
     state, so the axes from m on are the trailing run it drops (one-state
-    axes, kept or dropped, pass), and ``axes`` are all the axes it drops."""
-    classes: dict[tuple[int, ...], list[tuple[int, tuple[str, ...]]]] = {}
-    for mask, nodes in _node_sets(names):
-        dshape = tuple(d for k, d in enumerate(shape) if mask >> k & 1)
-        classes.setdefault(dshape, []).append((mask, nodes))
-    rank = {v: k for k, v in enumerate(names)}
+    axes, kept or dropped, pass), and ``axes`` are all the axes it drops.
+    The member positions of every set come from one `np.nonzero` of the
+    sets' bits, and each block's query indices from `_query_index` on
+    arrays."""
+    n = len(shape)
+    masks = _node_sets(n)
+    bits = masks[:, None] >> np.arange(n) & 1  # [set, node position]
+    kept = np.nonzero(bits)[1]  # the member positions, set after set
+    sizes = bits.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    big = bits * (np.asarray(shape) > 1)
+    ends = np.where(big.any(axis=1), n - np.argmax(big[:, ::-1], axis=1), 0).tolist()
+    kept_dims = np.asarray(shape)[kept].tolist()
+    dropped = np.nonzero(bits == 0)[1].tolist()
+    classes: dict[tuple[int, ...], list[int]] = {}
+    marginals = []
+    for x, (start, k) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        classes.setdefault(tuple(kept_dims[start : start + k]), []).append(x)
+        marginals.append((ends[x], tuple(dropped[x * n - start : (x + 1) * n - start - k])))
+    budget = MAX_JOINT_CONFIGS >> _BLOCK_SHIFT
     out = []
     for dshape, sets in classes.items():
-        per = max(1, (MAX_JOINT_CONFIGS >> 7) // (trials * math.prod(dshape)))
-        for start in range(0, len(sets), per):
-            part = sets[start : start + per]
-            queries = [
-                [_query_index(len(names), rank[nodes[i]], rank[nodes[j]], mask) for mask, nodes in part]
-                for i, j in combinations(range(len(dshape)), 2)
-            ]
-            marginals = [
-                (
-                    max((x + 1 for x, d in enumerate(shape) if mask >> x & 1 and d > 1), default=0),
-                    tuple(x for x in range(len(shape)) if not mask >> x & 1),
-                )
-                for mask, _ in part
-            ]
-            out.append(_Block(dshape, marginals, np.array(queries)))
+        k = len(dshape)
+        pos = kept[starts[sets][:, None] + np.arange(k)]
+        i, j = np.array(list(combinations(range(k), 2))).T
+        queries = _query_index(n, pos[:, i].T, pos[:, j].T, masks[sets])
+        per = max(1, budget // (trials * math.prod(dshape)))
+        for first in range(0, len(sets), per):
+            part = sets[first : first + per]
+            out.append(_Block(dshape, [marginals[x] for x in part], queries[:, first : first + per]))
     return out
 
 
@@ -581,15 +653,18 @@ def check_global_markov(
     the trials.  The trials' joints are stacked in chunks of at most
     ``MAX_JOINT_CONFIGS`` entries.  The queries a _||_ b | U - {a, b} are
     scored per node set U: the sets of one domain shape take their marginals
-    of the stack into a block of at most ``MAX_JOINT_CONFIGS >> 7`` entries
-    (a larger set gets a block of its own), laid out as (*dims, sets,
-    trials).  Each marginal is summed from the stack's sum over the
-    trailing run of axes the set drops, laid out with trials last
+    of the stack into a block of at most ``MAX_JOINT_CONFIGS >>
+    _BLOCK_SHIFT`` entries (a larger set gets a block of its own), laid out
+    as (*dims, sets, trials).  Each marginal is summed from the stack's sum
+    over the trailing run of axes the set drops, laid out with trials last
     (`_trailing_sums`), so it equals ``stack.sum(axis=dropped)`` bit for
     bit.  For each pair of local axes, `_pair_deviations` scores every set
-    of the block at once, and a query's record follows from its node
-    positions.  Whether the graph implies a query is answered per node set
-    by `separated_pairs`, which equals `implies_ci` on each query.
+    of the block at once, into the query indices the block computed from
+    the sets' bitmasks.  Whether the graph implies a query is answered per
+    node set by `_implied`, on bitmasks, which equals `implies_ci` on each
+    query.  Everything that depends on the graph alone (the queries, their
+    indices per block, the implied flags) is built in bulk before the first
+    trial.
     """
     n = len(g.node_names)
     if n > MAX_MARKOV_NODES:
@@ -603,11 +678,11 @@ def check_global_markov(
     e = factorize_chain(g)
     # factorize_chain lays the joint out in node order (order == g.node_names),
     # so node positions index both the joint's axes and all_singleton_queries
-    order, shape = _joint_shape(e)
+    _, shape = _joint_shape(e)
     queries = all_singleton_queries(g)
     implied = _implied(g, len(queries))
     chunk = _chunk_size(shape)
-    blocks = _blocks(order, shape, min(trials, chunk))
+    blocks = _blocks(shape, min(trials, chunk))
     starts = {m for block in blocks for m, _ in block.marginals}
 
     max_dev = np.zeros(len(queries))
@@ -626,7 +701,7 @@ def check_global_markov(
         del pre
 
     records = tuple(
-        QueryRecord(q, imp, dev, (not imp) or dev <= tol, imp or dev > DEPENDENCE_THRESHOLD)
+        _new(QueryRecord, (q, imp, dev, (not imp) or dev <= tol, imp or dev > DEPENDENCE_THRESHOLD))
         for q, imp, dev in zip(queries, implied, max_dev.tolist())
     )
     return MarkovReport(n, trials, seed, tol, DEPENDENCE_THRESHOLD, records)

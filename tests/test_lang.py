@@ -147,26 +147,26 @@ _TOO_DEEP = "model m {\n" + "plate p [N] { " * 17 + "node x; " + "} " * 17 + "\n
         # a missing ';' takes the next statement with it
         ("model m {\n  node a;\n  node c\n  node d;\n  node b;\n}", [(4, 3, "expected ';', found 'node'")], ["a", "b"]),
         ("model m {\n  node a;\n  a -- b\n  node c;\n  node b;\n}", [(4, 3, "expected ';', found 'node'")], ["a", "b"]),
-        # a bad plate header skips the block and runs on to the next ';' outside it
+        # a bad plate header skips the block, and parsing resumes just past its '}'
         (
             "model m {\n  node a;\n  plate [N] { node c; }\n  node d;\n  node b;\n}",
             [(3, 9, "expected plate name, found '['")],
-            ["a", "b"],
+            ["a", "d", "b"],
         ),
         (
             "model m {\n  node a;\n  plate p N] { node c; }\n  node d;\n  node b;\n}",
             [(3, 11, "expected '[', found 'N'")],
-            ["a", "b"],
+            ["a", "d", "b"],
         ),
         (
             "model m {\n  node a;\n  plate p [3] { node c; }\n  node d;\n  node b;\n}",
             [(3, 12, "expected cardinality symbol, found '3'")],
-            ["a", "b"],
+            ["a", "d", "b"],
         ),
         (
             "model m {\n  node a;\n  plate p [N { node c; }\n  node d;\n  node b;\n}",
             [(3, 14, "expected ']', found '{'")],
-            ["a", "b"],
+            ["a", "d", "b"],
         ),
         # an over-deep plate is skipped whole, its block included
         (_TOO_DEEP, [(2, 225, "plate 'p' has 17 levels of nesting, over the limit of 16")], ["p[" * 16 + "]" * 16, "b"]),

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -249,6 +250,24 @@ def test_all_singleton_queries_counts():
     assert len({q.text() for q in qs}) == len(qs)
 
 
+def test_all_singleton_queries_equal_checked_queries():
+    """The queries built in bulk, without `CiQuery`'s checks, are the
+    checked queries of a plain loop, in its order: pairs in node order, and
+    each pair's sets S counting up as bitmasks over the remaining nodes."""
+    for n in range(2, 11):
+        g = chain(n)
+        names = g.node_names
+        want = []
+        for a, b in combinations(names, 2):
+            rest = [v for v in names if v not in (a, b)]
+            for r in range(1 << len(rest)):
+                s = frozenset(v for k, v in enumerate(rest) if r >> k & 1)
+                want.append(CiQuery(frozenset({a}), frozenset({b}), s))
+        got = all_singleton_queries(g)
+        assert got == want, n
+        assert all(type(q) is CiQuery for q in got)
+
+
 def test_check_global_markov_soundness(graphs):
     rep = check_global_markov(graphs["fig3"], trials=3, seed=1)
     assert rep.ok
@@ -343,13 +362,73 @@ def _implied_pass_targets(models):
                     yield f"{make.__name__}(seed {seed}, {n} nodes)", g
 
 
+def _anterior_names(g, nodes):
+    index = g.component_index
+    inside = index.anterior(g.index(v) for v in nodes)
+    return {g.node_names[x] for k, comp in enumerate(index.components) if inside[k] for x in comp}
+
+
+def _many_component_graphs(count):
+    """Valid random chain graphs of 5-9 nodes with three or more chain
+    components, each with a node set U whose anterior set is not that of
+    any one member."""
+    rng = random.Random(29)
+    while count:
+        g = random_chain_graph(rng, rng.randint(5, 9))
+        if len(g.component_index.components) < 3:
+            continue
+        names = g.node_names
+        own = {v: _anterior_names(g, [v]) for v in names}
+        if any(
+            _anterior_names(g, u) not in [own[v] for v in u]
+            for k in range(2, len(names) + 1)
+            for u in combinations(names, k)
+        ):
+            count -= 1
+            yield g
+
+
 def test_implied_pass_equals_implies_ci(models):
-    """The sweep's one `separated_pairs` pass per node set answers every
-    singleton query as `implies_ci` does."""
-    for name, g in _implied_pass_targets(models):
+    """The sweep's bitmask pass per node set answers every singleton query
+    as `implies_ci` does, also where An(U) is the union of its members'
+    anterior sets and none of them alone."""
+    targets = list(_implied_pass_targets(models))
+    targets += [(f"many components #{k}", g) for k, g in enumerate(_many_component_graphs(60))]
+    for name, g in targets:
         queries = all_singleton_queries(g)
         want = [implies_ci(g, q) for q in queries]
         assert oracle._implied(g, len(queries)) == want, name
+
+
+def test_block_query_indices_are_query_positions(monkeypatch):
+    """Each block's [pair of local axes, node set] query index, computed on
+    arrays, is that query's position in `all_singleton_queries`, on random
+    shapes of 1-, 2- and 3-state nodes; small limits split a domain shape's
+    sets over several blocks.  Every query is scored exactly once."""
+    rng = random.Random(29)
+    split = 0
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        shape = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+        trials = rng.randint(1, 5)
+        monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", rng.choice((1 << 8, 1 << 12, 1 << 20)))
+        g = chain(n)
+        names = g.node_names
+        position = {q: k for k, q in enumerate(all_singleton_queries(g))}
+        seen = []
+        blocks = oracle._blocks(shape, trials)
+        for block in blocks:
+            assert block.queries.shape == (len(block.shape) * (len(block.shape) - 1) // 2, len(block.marginals))
+            for x, (_, dropped) in enumerate(block.marginals):
+                members = [v for k, v in enumerate(names) if k not in dropped]
+                assert tuple(shape[names.index(v)] for v in members) == block.shape
+                for p, (a, b) in enumerate(combinations(members, 2)):
+                    q = CiQuery(frozenset({a}), frozenset({b}), frozenset(members) - {a, b})
+                    assert block.queries[p, x] == position[q], (shape, trials, a, b, members)
+                    seen.append(position[q])
+        assert sorted(seen) == list(range(len(position)))
+        split += len(blocks) > len({block.shape for block in blocks})
+    assert split >= 20
 
 
 def _sweep_targets(models):
@@ -402,8 +481,8 @@ def test_batched_sweep_matches_per_trial_loop(models, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["fig2", "cad", "coin[N=5]"])
 def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
-    stacks, sizes = [], []
-    trailing_sums = oracle._trailing_sums
+    stacks, sizes, made = [], [], []
+    trailing_sums, make_blocks = oracle._trailing_sums, oracle._blocks
 
     def watched(stack, starts):
         pre = trailing_sums(stack, starts)
@@ -412,23 +491,43 @@ def test_batched_sweep_in_small_chunks(models, monkeypatch, name):
         assert sum(p.size for p in pre.values()) < 2 * stack.size
         return pre
 
+    def watched_blocks(shape, trials):
+        out = make_blocks(shape, trials)
+        made.append((trials, out))
+        return out
+
     monkeypatch.setattr(oracle, "_trailing_sums", watched)
+    monkeypatch.setattr(oracle, "_blocks", watched_blocks)
     blocks = _watch_blocks(monkeypatch)
     # 600 entries hold two 8-node joints: fig2's trials go in chunks of two.
-    # 2^14 entries hold every stack whole, and its block budget of 128
-    # entries stacks several node sets of one domain shape into a block.
+    # 2^14 entries hold every stack whole.  Each limit's block budget stacks
+    # the node sets of a domain shape wherever two of them fit.
     for limit in (600, 1 << 14):
         monkeypatch.setattr(oracle, "MAX_JOINT_CONFIGS", limit)
         stacks.clear()
         sizes.clear()
         blocks.clear()
+        made.clear()
         _assert_matches_per_trial_loop(_sweep_targets(models)[name], trials=5, seed=4)
         assert max(sizes + [np.prod(s) for s in stacks]) <= limit
         if name == "fig2" and limit == 600:
             assert {s[0] for s in stacks} == {2, 1}
-        budget = limit >> 7
+        budget = limit >> oracle._BLOCK_SHIFT
+        # a block of more than one set stays within the budget ...
         assert all(n == 1 or n * t * np.prod(dims) <= budget for n, t, dims, _ in blocks)
-        assert any(n > 1 for n, _, _, _ in blocks) == (limit > 600)
+        # ... and sets are stacked wherever it allows: in each domain shape
+        # of two or more sets that fit twice, and a block is followed by
+        # another of its shape only when it has no room for one more
+        [(trials, out)] = made
+        sets = Counter()
+        for block in out:
+            sets[block.shape] += len(block.marginals)
+        room = {d for d, c in sets.items() if c > 1 and 2 * trials * np.prod(d) <= budget}
+        assert {dims for n, _, dims, _ in blocks if n > 1} == room
+        for first, then in zip(out, out[1:]):
+            if first.shape == then.shape:
+                assert (len(first.marginals) + 1) * trials * np.prod(first.shape) > budget
+    assert room  # the budget of 2^14 entries stacks sets on every graph here
 
 
 def test_trailing_sums_give_every_marginal_bit_for_bit():
@@ -443,8 +542,7 @@ def test_trailing_sums_give_every_marginal_bit_for_bit():
             continue
         t = int(rng.integers(1, 6))
         stack = rng.uniform(0.1, 1.0, size=(t, *shape))
-        names = [f"v{x}" for x in range(len(shape))]
-        marginals = [mg for block in oracle._blocks(names, shape, t) for mg in block.marginals]
+        marginals = [mg for block in oracle._blocks(shape, t) for mg in block.marginals]
         assert len(marginals) == 2 ** len(shape) - len(shape) - 1
         pre = oracle._trailing_sums(stack, {m for m, _ in marginals})
         for m, axes in marginals:
