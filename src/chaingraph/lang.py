@@ -12,11 +12,14 @@
 
 `#` starts a line comment.  Parsing recovers after a bad statement so one
 pass reports many errors: a failed statement is skipped to its `;`, or to
-the `}` that closes its block.  A `{ ... }` block the skip runs into, such
-as the body of a plate whose header failed, is skipped whole, and parsing
-resumes just past its `}`.  `resolve` turns an AST into a validated
-PlateModel, reusing the statement spans for graph-level diagnostics, and
-`read_model` runs both.  None of them ever raises on arbitrary input text.
+the `}` that closes its block.  A `{ ... }` block the skip runs into,
+such as the body of a plate whose header failed or of a plate nested more
+than `MAX_PLATE_NESTING` deep, is skipped whole, without being parsed, and
+parsing resumes just past its `}`.  A plate missing only its `{` is
+reported, and the statements up to its `}` are still its body.  `resolve`
+turns an AST into a validated PlateModel, reusing the statement spans for
+graph-level diagnostics, and `read_model` runs both.  None of them ever
+raises on arbitrary input text.
 """
 
 from __future__ import annotations
@@ -229,20 +232,6 @@ class _Parser:
                 return
             self.bump()
 
-    def skip_block(self) -> None:
-        """Consume a '{ ... }' without building anything (over-deep plates)."""
-        if self.cur.kind != "lbrace":
-            return
-        depth = 0
-        while self.cur.kind != "eof":
-            k = self.bump().kind
-            if k == "lbrace":
-                depth += 1
-            elif k == "rbrace":
-                depth -= 1
-                if depth == 0:
-                    return
-
     def parse_model(self) -> ModelAst | None:
         first = self.cur.span
         try:
@@ -263,15 +252,12 @@ class _Parser:
         out: list[Stmt] = []
         while self.cur.kind not in ("rbrace", "eof"):
             try:
-                stmt = self.parse_statement(depth)
+                out.append(self.parse_statement(depth))
             except _Resync:
                 self.sync_statement()
-                continue
-            if stmt is not None:
-                out.append(stmt)
         return out
 
-    def parse_statement(self, depth: int) -> Stmt | None:
+    def parse_statement(self, depth: int) -> Stmt:
         t = self.cur
         if t.kind in ("det", "obs", "node"):
             return self.parse_node_decl()
@@ -317,7 +303,7 @@ class _Parser:
         semi = self.expect("semi", "';'")
         return EdgeDecl(u.value, v.value, directed, _join(u.span, semi.span))
 
-    def parse_plate_decl(self, depth: int) -> PlateDecl | None:
+    def parse_plate_decl(self, depth: int) -> PlateDecl:
         start = self.bump().span  # 'plate'
         name = self.expect("ident", "plate name")
         self.expect("lbracket", "'['")
@@ -328,9 +314,9 @@ class _Parser:
                 f"plate {name.value!r} has {depth + 1} levels of nesting, over the limit of {MAX_PLATE_NESTING}",
                 start,
             )
-            self.skip_block()
-            return None
-        self.expect("lbrace", "'{'")
+            raise _Resync  # the skip takes the block whole, without parsing it
+        # without its '{', the statements up to the plate's '}' are still its body
+        self.accept("lbrace", "'{'")
         body = self.parse_statements(depth + 1)
         closing = self.accept("rbrace", "'}'")
         end = closing.span if closing else self.toks[max(self.pos - 1, 0)].span

@@ -29,18 +29,20 @@ Normalizer terms are not random: they are computed as the actual
 normalizing constants of their block's potentials, so the instantiated
 product is a genuine chain-graph distribution.
 
-Both checks draw their trials as stacks.  Trial k has its own generator,
-the k-th child of ``SeedSequence(seed)``.  Tables are drawn term by term,
-each term by every generator of a chunk in turn, so each generator's
-sequence of draws, and every number, is what a trial drawn on its own
-gets.  Each term's tables, and each normalizer computed from
-the stacked potentials, sit on a leading trials axis; the joints are one
-broadcast multiply per term over the stack, then one sum and one division
-per trial.  The sweep and the equivalence check split their trials into
-chunks by one rule (`_chunk_size`), so that no stack holds more than
-``MAX_JOINT_CONFIGS`` entries, and each chunk spawns its generators when it
-runs.  A joint, like a term's table, is a `TermTable`: its variables and
-an array whose last axes follow them.
+Both checks draw their trials as stacks, through one `_draw`.  Trial k has
+its own generator, the k-th child of ``SeedSequence(seed)``.  Tables are
+drawn term by term, each term by every generator of a chunk in turn, so
+each generator's sequence of draws, and every number, is what a trial
+drawn on its own gets.  The equivalence check's shared tables replace e2's
+drawn ones before e2's normalizers are computed.  Each term's tables, and
+each normalizer computed from the stacked potentials, sit on a leading
+trials axis; the joints are one broadcast multiply per term over the
+stack, then one sum and one division per trial.  The sweep and the
+equivalence check split their trials into chunks by one rule
+(`_chunk_size`), so that no stack holds more than ``MAX_JOINT_CONFIGS``
+entries, and each chunk spawns its generators when it runs.  A joint, like
+a term's table, is a `TermTable`: its variables and an array whose last
+axes follow them.
 
 `assignment_from_rng`, `build_joint` and `ci_deviation` are the one-trial
 case of the same code.  No check calls them; they remain because the traced
@@ -114,13 +116,13 @@ def _check_size(what: str, shape: Iterable[int]) -> None:
         )
 
 
-def _check_tol(tol: float) -> None:
+def _check_run(trials: int, seed: int, tol: float) -> None:
+    """Refuse a run's trials, tol and seed, in that order."""
+    if trials < 1:
+        raise OracleError("trials must be positive")
     # a negative or NaN tol fails every comparison against it, an infinite one passes every one
     if not 0.0 <= tol < math.inf:
         raise OracleError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
-def _check_seed(seed: int) -> None:
     # SeedSequence takes only integers >= 0; a non-integer fails operator.index
     if operator.index(seed) < 0:
         raise OracleError(f"seed must be >= 0, got {seed!r}")
@@ -148,17 +150,38 @@ def _term_shape(t: FactorTerm, domains: Mapping[str, int]) -> tuple[int, ...]:
         raise OracleError(f"no domain size for variable {exc.args[0]!r}") from None
 
 
-def _draw_terms(e: FactorExpression, rngs: Sequence[np.random.Generator]) -> PotentialAssignment:
-    """Every term's table but the normalizers, for each generator of
-    ``rngs``, stacked on a leading trials axis.  Terms are drawn in term
-    order, each by every generator in turn, so each generator makes the
-    draws one trial of its own would make.  A table is size-checked per
+def assignment_from_rng(e: FactorExpression, rng: np.random.Generator) -> PotentialAssignment:
+    """Tables for every term, keyed by the term's rendered name.
+
+    Conditionals: positive rows normalized over the head.  Deltas: a random
+    deterministic function (one-hot rows).  Potentials: uniform in
+    [0.1, 1.0].  Normalizers: computed exactly from their group's
+    potentials so each block's conditional sums to one.  This is one trial
+    of the stacked tables the sweep and the equivalence check draw.
+    """
+    return {name: TermTable(tt.vars, tt.table[0]) for name, tt in _draw(e, [rng]).items()}
+
+
+def _draw(
+    e: FactorExpression,
+    rngs: Sequence[np.random.Generator],
+    fixed: Mapping[str, TermTable] | None = None,
+) -> PotentialAssignment:
+    """Every term's table for each generator of ``rngs``, stacked on a
+    leading trials axis, normalizers included.
+
+    Terms are drawn in term order, each by every generator in turn, so each
+    generator makes the draws one trial of its own would make.  The tables
+    in ``fixed`` (keyed by term name) then replace the drawn ones, and each
+    normalizer not in ``fixed`` is computed as 1 / the sum of its group's
+    potential product as it then stands.  A table is size-checked per
     trial; the caller keeps ``len(rngs)`` times the joint within
     ``MAX_JOINT_CONFIGS``."""
     _require_ground(e)
+    domains = e.domains
     pa: PotentialAssignment = {}
     for t in e.terms:
-        shape = _term_shape(t, e.domains)
+        shape = _term_shape(t, domains)
         _check_size(f"table for {t.name()}", shape)
         if t.kind == "conditional":
             raw = _positive(rngs, shape)
@@ -175,55 +198,25 @@ def _draw_terms(e: FactorExpression, rngs: Sequence[np.random.Generator]) -> Pot
         elif t.kind == "potential":
             table = _positive(rngs, shape)
         elif t.kind == "normalizer":
-            continue  # computed from the group's potentials
+            continue  # computed from the group's potentials below
         else:
             raise OracleError(f"unknown term kind {t.kind!r}")
         pa[t.name()] = TermTable(t.vars, table)
-    return pa
-
-
-def assignment_from_rng(e: FactorExpression, rng: np.random.Generator) -> PotentialAssignment:
-    """Tables for every term, keyed by the term's rendered name.
-
-    Conditionals: positive rows normalized over the head.  Deltas: a random
-    deterministic function (one-hot rows).  Potentials: uniform in
-    [0.1, 1.0].  Normalizers: computed exactly from their group's
-    potentials so each block's conditional sums to one.  This is one trial
-    of the stacked tables the sweep and the equivalence check draw.
-    """
-    return {name: TermTable(tt.vars, tt.table[0]) for name, tt in _draw(e, [rng]).items()}
-
-
-def _draw(e: FactorExpression, rngs: Sequence[np.random.Generator]) -> PotentialAssignment:
-    """Every term's table for each generator of ``rngs``, stacked on a
-    leading trials axis, normalizers included."""
-    pa = _draw_terms(e, rngs)
-    _compute_normalizers(e, pa, len(rngs), skip=frozenset())
-    return pa
-
-
-def _compute_normalizers(
-    e: FactorExpression, pa: PotentialAssignment, trials: int, skip: frozenset[str]
-) -> None:
-    """(Re)derive each normalizer table as 1 / sum of its group's potential
-    product, for each of the ``trials`` stacked tables in ``pa``."""
-    domains = e.domains
-    terms = e.terms
-    for t in terms:
-        if t.kind != "normalizer" or t.name() in skip:
+    fixed = fixed or {}
+    pa.update(fixed)
+    for t in e.terms:
+        if t.kind != "normalizer" or t.name() in fixed:
             continue
-        group = [u for u in terms if u.kind == "potential" and u.group == t.group]
-        union = [v for v in e.order if any(v in u.vars for u in group) or v in t.vars]
+        group = [u for u in e.terms if u.kind == "potential" and u.group == t.group]
+        union = tuple(v for v in e.order if any(v in u.vars for u in group) or v in t.vars)
         shape = tuple(domains[v] for v in union)
         _check_size(f"potential product for {t.name()}", shape)
-        arr = np.ones((trials,) + shape)
+        arr = np.ones((len(rngs),) + shape)
         for u in group:
             arr *= _broadcast(pa[u.name()], union, domains)
-        summed = arr.sum(axis=tuple(1 + i for i, v in enumerate(union) if v not in t.vars))
-        kept = [v for v in union if v in t.vars]
-        inv = 1.0 / summed
-        perm = [1 + kept.index(v) for v in t.vars]
-        pa[t.name()] = TermTable(t.vars, np.transpose(inv, [0, *perm]))
+        kept, summed = _marginal(arr, union, t.vars)
+        pa[t.name()] = TermTable(t.vars, np.transpose(1.0 / summed, [0, *(1 + kept.index(v) for v in t.vars)]))
+    return pa
 
 
 def _broadcast(tt: TermTable, order: Sequence[str], domains: Mapping[str, int]) -> np.ndarray:
@@ -671,10 +664,7 @@ def check_global_markov(
         raise StateSpaceError(
             f"global Markov sweep graph has {n} nodes, over the limit of {MAX_MARKOV_NODES}"
         )
-    if trials < 1:
-        raise OracleError("trials must be positive")
-    _check_tol(tol)
-    _check_seed(seed)
+    _check_run(trials, seed, tol)
     e = factorize_chain(g)
     # factorize_chain lays the joint out in node order (order == g.node_names),
     # so node positions index both the joint's axes and all_singleton_queries
@@ -747,13 +737,11 @@ def check_equivalence(
     ``mode="conditional"`` compares p(free | given), requiring equal
     free/given sets; ``mode="marginal"`` compares the marginal over the
     variables both expressions mention.  Each trial's generator draws e1's
-    tables, then e2's; the shared ones are then copied, and e2's
-    normalizers computed from its potentials as copied.
+    tables, then e2's; e2's draw takes e1's shared tables as ``fixed``
+    (`_draw`), so a shared table, normalizers included, replaces e2's own,
+    and e2's other normalizers come from its potentials as shared.
     """
-    if trials < 1:
-        raise OracleError("trials must be positive")
-    _check_tol(tol)
-    _check_seed(seed)
+    _check_run(trials, seed, tol)
     _require_ground(e1)
     _require_ground(e2)
     shared = dict(shared or {})
@@ -782,17 +770,11 @@ def check_equivalence(
     # refuse oversized joints before drawing any table
     order1, shape1 = _joint_shape(e1)
     order2, shape2 = _joint_shape(e2)
-    inverse = {v: k for k, v in shared.items()}
     devs: list[float] = []
     for rngs in _trial_chunks(seed, trials, _chunk_size(shape1, shape2)):
         n = len(rngs)
         pa1 = _draw(e1, rngs)
-        pa2 = _draw_terms(e2, rngs)
-        for name2, name1 in inverse.items():
-            pa2[name2] = pa1[name1]
-        # e2's normalizers come from its potentials after the copy; a copied
-        # normalizer stays as copied
-        _compute_normalizers(e2, pa2, n, skip=frozenset(inverse))
+        pa2 = _draw(e2, rngs, fixed={name2: pa1[name1] for name1, name2 in shared.items()})
         j1 = TermTable(order1, _joint_stack(e1, pa1, n))
         j2 = TermTable(order2, _joint_stack(e2, pa2, n))
         devs += _equivalence_deviations(j1, j2, head, given, mode).tolist()

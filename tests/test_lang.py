@@ -117,6 +117,7 @@ def _statement_names(stmts):
 
 
 _TOO_DEEP = "model m {\n" + "plate p [N] { " * 17 + "node x; " + "} " * 17 + "\n  node b;\n}"
+_TOO_DEEP_OPEN = "model m {\n" + "plate p [N] { " * 16 + "plate q [N] node c; node d; " + "} " * 16 + "\n  node b;\n}"
 
 
 @pytest.mark.parametrize(
@@ -170,11 +171,23 @@ _TOO_DEEP = "model m {\n" + "plate p [N] { " * 17 + "node x; " + "} " * 17 + "\n
         ),
         # an over-deep plate is skipped whole, its block included
         (_TOO_DEEP, [(2, 225, "plate 'p' has 17 levels of nesting, over the limit of 16")], ["p[" * 16 + "]" * 16, "b"]),
-        # without its '{', the plate's '}' closes the model
+        # without its '{', the statements up to the plate's '}' are its body
         (
             "model m {\n  node a;\n  plate p [N] node c; }\n  node b;\n}",
-            [(3, 15, "expected '{', found 'node'"), (4, 3, "trailing input after model")],
-            ["a"],
+            [(3, 15, "expected '{', found 'node'")],
+            ["a", "p[c]", "b"],
+        ),
+        # without either brace, the plate's body runs to the model's '}'
+        (
+            "model m {\n  node a;\n  plate p [N] node c;\n  node b;\n}",
+            [(3, 15, "expected '{', found 'node'"), (5, 2, "expected '}', found 'end of input'")],
+            ["a", "p[c b]"],
+        ),
+        # an over-deep plate without its '{' is skipped to its ';'
+        (
+            _TOO_DEEP_OPEN,
+            [(2, 225, "plate 'q' has 17 levels of nesting, over the limit of 16")],
+            ["p[" * 16 + "d" + "]" * 16, "b"],
         ),
         # an unclosed plate takes the model's '}'
         (
@@ -187,8 +200,8 @@ _TOO_DEEP = "model m {\n" + "plate p [N] { " * 17 + "node x; " + "} " * 17 + "\n
     ids=[
         "model", "model-name", "model-lbrace", "statement", "duplicate-attr", "node", "node-name", "domain-int",
         "domain-rbracket", "domain-zero", "edge-operator", "edge-endpoint", "node-semi", "edge-semi", "plate-name",
-        "plate-lbracket", "plate-symbol", "plate-rbracket", "plate-too-deep", "plate-lbrace", "plate-unclosed",
-        "trailing",
+        "plate-lbracket", "plate-symbol", "plate-rbracket", "plate-too-deep", "plate-lbrace", "plate-no-braces",
+        "plate-too-deep-lbrace", "plate-unclosed", "trailing",
     ],
 )
 def test_every_recovery_site(src, diagnostics, survivors):
